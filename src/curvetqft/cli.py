@@ -2,7 +2,8 @@
 
 Subcommands: matchings, module, class, glue, lift, verify.  Exit codes:
 0 when all requested checks pass, 1 on a check failure, 2 on input
-errors.  Machine-format output is byte-stable for identical inputs.
+errors, 3 on an internal inconsistency of a module presentation.
+Machine-format output is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ INPUT_ERRORS = (
     LiftError,
     fileio.FormatError,
     BoundExceededError,
-    ModuleBuildError,
     FileNotFoundError,
     ValueError,
 )
@@ -300,6 +300,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ModuleBuildError as exc:
+        # A fault of the engine, not of the input.  Caught first because
+        # ModuleBuildError is a ValueError.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

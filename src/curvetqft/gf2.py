@@ -53,12 +53,3 @@ def rank(rows: Iterable[int]) -> int:
     """Rank of the row space over GF(2)."""
     return len(rref(rows)[0])
 
-
-def column_rank(columns: list[int]) -> int:
-    """Rank of a matrix given as a list of column bitsets."""
-    return rank(columns)
-
-
-def is_injective(columns: list[int], num_columns: int) -> bool:
-    """Whether the linear map with the given column vectors is injective."""
-    return rank(columns) == num_columns

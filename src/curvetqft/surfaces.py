@@ -24,6 +24,7 @@ so related form a bypass triple.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -417,16 +418,13 @@ class SlotLayout:
         """Interval index (between slot i and i+1) containing a boundary point.
 
         The point is addressed by its token index and a sub-position within
-        the token.  Returns -1 when the piece has no slots at all.
+        the token.  Returns -1 when the piece has no slots at all.  Slot
+        positions are stored in boundary order, so this is a bisection.
         """
         positions = self._word_pos[piece]
         if not positions:
             return -1
-        count = 0
-        for j, (tok_idx, pos) in enumerate(positions):
-            if (tok_idx, pos) < (word_idx, sub):
-                count = j + 1
-        return (count - 1) % len(positions)
+        return (bisect.bisect_left(positions, (word_idx, sub)) - 1) % len(positions)
 
     def segment_gap_interval(self, pair: int, side: int, gap: int) -> tuple[int, int]:
         """(piece, interval) adjacent to the given gap of a segment side.
@@ -534,18 +532,6 @@ class _ParityUnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.parity = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        par = 0
-        for node in reversed(path):
-            par ^= self.parity[node]
-            self.parent[node] = x
-            self.parity[node] = par
-        return x, self.parity[path[0]] if path else 0
 
     def relation(self, x: int) -> tuple[int, int]:
         root = x
@@ -724,11 +710,22 @@ def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
 
 
 def is_colorable(surface: MarkedSurface, k: DividingSet) -> bool:
-    try:
-        analyze_regions(surface, k)
-        return True
-    except ColoringError:
-        return False
+    return _grade(surface, k, {}) is not None
+
+
+def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None:
+    """Grading of k, or None when k is not colorable, memoized in gradings.
+
+    gradings maps encodings to gradings; its owner decides how long it
+    lives, so each dividing set is analyzed once per owner.
+    """
+    enc = k.encode()
+    if enc not in gradings:
+        try:
+            gradings[enc] = euler_grading(surface, k)
+        except ColoringError:
+            gradings[enc] = None
+    return gradings[enc]
 
 
 # ---------------------------------------------------------------------------
@@ -895,17 +892,23 @@ def is_efficient(surface: MarkedSurface, k: DividingSet) -> bool:
 # Enumeration of canonical dividing sets
 # ---------------------------------------------------------------------------
 
-def enumerate_dividing_sets(surface: MarkedSurface, bound: int) -> list[DividingSet]:
+def enumerate_dividing_sets(
+    surface: MarkedSurface, bound: int, gradings: dict | None = None
+) -> list[DividingSet]:
     """All canonical dividing sets with at most `bound` crossings per segment.
 
     Contractible closed components are excluded (their classes vanish and
     their position is not recorded); closed components that cross
     identification segments are included.  Ordered by descending grading,
-    then by encoding.
+    then by encoding.  When gradings is given, the grading of every
+    bigon-free candidate (None for an uncolorable one) is recorded in it
+    by encoding.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     validate_surface(surface)
+    if gradings is None:
+        gradings = {}
     out = []
     for crossings in itertools.product(range(bound + 1), repeat=surface.num_pairs):
         layout = _layout(surface, crossings)
@@ -916,11 +919,9 @@ def enumerate_dividing_sets(surface: MarkedSurface, bound: int) -> list[Dividing
             k = DividingSet(crossings, chords, 0)
             if not is_efficient(surface, k):
                 continue
-            try:
-                e = euler_grading(surface, k)
-            except ColoringError:
-                continue
-            out.append((-e, k.encode(), k))
+            e = _grade(surface, k, gradings)
+            if e is not None:
+                out.append((-e, k.encode(), k))
     out.sort(key=lambda t: t[:2])
     return [k for _, _, k in out]
 
@@ -1131,6 +1132,28 @@ def _cut_orders(arc: BypassArc) -> list[tuple[str, ...] | None]:
     return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
 
 
+def _realize(
+    surface: MarkedSurface,
+    k: DividingSet,
+    base_e: int,
+    raw: tuple[DividingSet, DividingSet] | None,
+    gradings: dict,
+) -> tuple[DividingSet, DividingSet] | None:
+    """Canonical (front, back) of a raw surgery on k, or None if unrealizable.
+
+    Both results must be consistently colorable, and a result without new
+    contractible components must keep k's grading base_e.
+    """
+    if raw is None:
+        return None
+    front, back = (canonicalize(surface, s) for s in raw)
+    for result in (front, back):
+        e = _grade(surface, result, gradings)
+        if e is None or (result.closed == k.closed and e != base_e):
+            return None
+    return front, back
+
+
 def bypass_triple(
     surface: MarkedSurface, k: DividingSet, arc: BypassArc
 ) -> tuple[DividingSet, DividingSet]:
@@ -1138,37 +1161,41 @@ def bypass_triple(
 
     Results are canonicalized.  Outside a neighborhood of the arc all
     three configurations agree; inside, they run through the three
-    grading-preserving configurations of the six-endpoint disk.
+    grading-preserving configurations of the six-endpoint disk.  Any arc
+    is accepted, including trivial ones and explicit cut orders.
     """
     validate_dividing_set(surface, k)
     orders = [arc.cut_order] if arc.cut_order is not None else _cut_orders(arc)
     base_e = euler_grading(surface, k)
+    gradings = {k.encode(): base_e}
     for order in orders:
-        raw = _surgery(surface, k, arc, order)
-        if raw is None:
-            continue
-        front, back = (canonicalize(surface, s) for s in raw)
-        ok = True
-        for result in (front, back):
-            if not is_colorable(surface, result):
-                ok = False
-                break
-            if result.closed == k.closed and euler_grading(surface, result) != base_e:
-                ok = False
-                break
-        if ok:
-            return front, back
+        realized = _realize(surface, k, base_e, _surgery(surface, k, arc, order), gradings)
+        if realized is not None:
+            return realized
     raise BypassError("no realizable bypass arc with the given data")
 
 
-def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
-    """All realizable bypass surgeries on k, as (front, back) canonical pairs.
+def iter_bypass_surgeries(
+    surface: MarkedSurface, k: DividingSet, gradings: dict | None = None
+):
+    """The realizable nontrivial bypass surgeries on k, as (arc, front, back).
 
-    Enumerates every (start, cross, end, side, cut order) combination and
-    keeps those whose reconnections are planar, consistently colorable,
-    and grading-preserving.
+    front and back are canonical.  Trivial arcs, which start or end on the
+    chord they cross, are skipped: they return k and k with a contractible
+    circle, a zero relation row.  The faces of a piece form a tree, so the
+    remaining arcs touch three distinct chords and need no cut order.  Only
+    arcs starting on the outer side of the cross chord are tried: the inner
+    arc (s, c, e) is the outer arc (e, c, s) reversed and gives the same
+    pair.  A surgery is kept when its reconnections are planar, consistently
+    colorable and grading-preserving.  gradings is _grade's encoding ->
+    grading map; a module build passes one map to every call so that each
+    dividing set is analyzed once.
     """
-    base_e = euler_grading(surface, k)
+    if gradings is None:
+        gradings = {}
+    base_e = gradings.get(k.encode())
+    if base_e is None:
+        base_e = gradings[k.encode()] = euler_grading(surface, k)
     layout = layout_of(surface, k)
     for p in range(surface.num_pieces):
         faces = piece_faces(layout.num_slots(p), k.chords[p])
@@ -1178,23 +1205,13 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
             adjacency.setdefault(outer, []).append(chord)
         for cross in k.chords[p]:
             inner, outer = faces.faces_of_chord(cross)
-            for side, f0, f1 in (("inner", inner, outer), ("outer", outer, inner)):
-                for start in adjacency.get(f0, ()):
-                    for end in adjacency.get(f1, ()):
-                        arc = BypassArc(p, start, cross, end, side)
-                        for order in _cut_orders(arc):
-                            raw = _surgery(surface, k, arc, order)
-                            if raw is None:
-                                continue
-                            front, back = (canonicalize(surface, s) for s in raw)
-                            ok = True
-                            for result in (front, back):
-                                if not is_colorable(surface, result):
-                                    ok = False
-                                    break
-                                if result.closed == k.closed and \
-                                        euler_grading(surface, result) != base_e:
-                                    ok = False
-                                    break
-                            if ok:
-                                yield arc, front, back
+            for start in adjacency[outer]:
+                for end in adjacency[inner]:
+                    if cross in (start, end):
+                        continue
+                    arc = BypassArc(p, start, cross, end)
+                    realized = _realize(
+                        surface, k, base_e, _surgery(surface, k, arc, None), gradings
+                    )
+                    if realized is not None:
+                        yield (arc, *realized)

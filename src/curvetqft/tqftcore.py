@@ -135,9 +135,12 @@ def expected_rank(surface: MarkedSurface) -> int:
 def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModule:
     """Assemble and reduce the bypass presentation at the given bound."""
     validate_surface(surface)
-    generators = tuple(enumerate_dividing_sets(surface, bound))
+    # Grading by encoding (None: uncolorable) of every dividing set this
+    # build analyzes; enumeration seeds it and the surgeries extend it.
+    grading_of: dict = {}
+    generators = tuple(enumerate_dividing_sets(surface, bound, grading_of))
     index = {g.encode(): i for i, g in enumerate(generators)}
-    gradings = tuple(euler_grading(surface, g) for g in generators)
+    gradings = tuple(grading_of[g.encode()] for g in generators)
 
     def member_bit(k: DividingSet) -> tuple[int, int | None]:
         if k.closed > 0:
@@ -153,7 +156,7 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
 
     rows: set[int] = set()
     for i, g in enumerate(generators):
-        for _, front, back in iter_bypass_surgeries(surface, g):
+        for _, front, back in iter_bypass_surgeries(surface, g, grading_of):
             bit_f, e_f = member_bit(front)
             bit_b, e_b = member_bit(back)
             for e_other in (e_f, e_b):

@@ -141,6 +141,19 @@ def test_bad_file_is_input_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_module_build_error_is_internal(monkeypatch, capsys):
+    from curvetqft import cli
+
+    def broken(surface, bound=4):
+        raise cli.ModuleBuildError("bypass relation mixes gradings (2 vs 0)")
+
+    monkeypatch.setattr(cli, "build_module", broken)
+    code, _, err = run_cli(capsys, "module", "--disk", "4")
+    assert code == 3
+    assert "internal error" in err
+    assert "mixes gradings" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curvetqft.cli", "matchings", "--n", "2",

@@ -1,0 +1,48 @@
+"""Byte stability of `module --format machine` on a fixed ladder of surfaces.
+
+The digests are sha256 sums of the command's standard output, recorded
+before bypass enumeration skipped trivial and reversed arcs and graded each
+dividing set once per build.  Any change to generators, relation rows,
+reduced rows, pivots or graded ranks changes them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from curvetqft.cli import main
+
+DIGESTS = {
+    ("--disk", "2", "--bound", "0"):
+        "0178076f95669fbdf1e5541c91a93699390c2bbc18a73c71584edd6346cb26c7",
+    ("--disk", "4", "--bound", "0"):
+        "8c9844ba64ff5a962aca68ee3a0d01f7903d3fcf3d187eb3ad2b80a0258386b9",
+    ("--disk", "6", "--bound", "0"):
+        "7c6ebe89d345e5853e95984d104a6f0f40cb06838b480354a5b64ff8255ae383",
+    ("--disk", "8", "--bound", "0"):
+        "9faed6cca4b52769be3a712bb434d078dfee51bcfbd21bb60151e212b98af4b1",
+    ("--disk", "10", "--bound", "0"):
+        "2c9a47f9f8fcb3e710f00a7a5d13e9d7db16453852c59a21b878ab2125407514",
+    ("--disk", "12", "--bound", "0"):
+        "c362972f92f19376fa07fd49373b5ce8e571f135a095cc03ba7ebd364696121f",
+    ("--annulus", "2", "2", "--bound", "3"):
+        "dc33e5c992126f7c2e2b5bc92af0d2904e315f36549f89ee9ad29002e9786169",
+    ("--annulus", "2", "2", "--bound", "4"):
+        "55bd61b5c36a0d33043c6f3a78b424e64ce4702d9d8dd47c56fd6d53059d511a",
+    ("--annulus", "4", "4", "--bound", "3"):
+        "328074e3dcd20edf1e304eda729d84664c1ef42759b2c4888f169eca31c3405a",
+    ("--punctured-torus", "2", "--bound", "3"):
+        "3db5966f0dc9213bcf14d6abed6a3caf43f92b15685fb1638ad8401dfd68c19f",
+    ("--punctured-torus", "4", "--bound", "3"):
+        "682bf4d87cc919b114e4e52e6e9f024814443906a145a8f3e1bea065a77124b0",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(DIGESTS), ids=" ".join)
+def test_module_machine_digest(flags, capsys):
+    code = main(["module", *flags, "--format", "machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[flags]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -446,16 +447,84 @@ def test_bypass_preserves_grading_and_slots():
                     assert sf.euler_grading(surface, result) == e
 
 
+def _arcs_from_side(surface, k, side):
+    """Every arc from a chord on the given side of a cross chord to one on the other."""
+    layout = sf.layout_of(surface, k)
+    for p in range(surface.num_pieces):
+        faces = sf.piece_faces(layout.num_slots(p), k.chords[p])
+        adjacent = {}
+        for chord, sides in faces.chord_sides.items():
+            for face in sides:
+                adjacent.setdefault(face, []).append(chord)
+        for cross in k.chords[p]:
+            inner, outer = faces.faces_of_chord(cross)
+            f0, f1 = (inner, outer) if side == "inner" else (outer, inner)
+            for start in adjacent[f0]:
+                for end in adjacent[f1]:
+                    yield sf.BypassArc(p, start, cross, end, side)
+
+
+def _triple_or_none(surface, k, arc):
+    try:
+        return frozenset(sf.bypass_triple(surface, k, arc))
+    except sf.BypassError:
+        return None
+
+
+PRUNING_CASES = [(sf.disk(2 * n), 0) for n in (2, 3, 4)] + [
+    (sf.annulus(2, 2), 2),
+    (sf.punctured_torus(2), 2),
+]
+
+
+@pytest.mark.parametrize("surface,bound", PRUNING_CASES)
+def test_trivial_bypass_gives_zero_row(surface, bound):
+    # An arc that starts or ends on the chord it crosses returns k itself
+    # and a set with a contractible circle, under every cut order, so its
+    # relation row k + k + 0 is zero and enumeration may skip it.
+    realized = 0
+    for k in sf.enumerate_dividing_sets(surface, bound):
+        for side in ("inner", "outer"):
+            for arc in _arcs_from_side(surface, k, side):
+                if arc.cross_chord not in (arc.start_chord, arc.end_chord):
+                    continue
+                for order in sf._cut_orders(arc):
+                    pair = _triple_or_none(surface, k, replace(arc, cut_order=order))
+                    if pair is None:
+                        continue
+                    realized += 1
+                    same, = (m for m in pair if m == k)
+                    other, = pair - {same}
+                    assert other.closed > 0
+    assert realized > 0
+
+
+@pytest.mark.parametrize("surface,bound", PRUNING_CASES)
+def test_reversed_arc_gives_same_pair(surface, bound):
+    # The inner arc (s, c, e) is the outer arc (e, c, s) traversed backwards.
+    for k in sf.enumerate_dividing_sets(surface, bound):
+        for arc in _arcs_from_side(surface, k, "inner"):
+            if arc.cross_chord in (arc.start_chord, arc.end_chord):
+                continue
+            reverse = sf.BypassArc(arc.piece, arc.end_chord, arc.cross_chord,
+                                   arc.start_chord, "outer")
+            assert _triple_or_none(surface, k, arc) == \
+                _triple_or_none(surface, k, reverse)
+
+
 def test_trivial_bypass_on_single_chord():
-    # Every surgery on the 2-point disk returns the same chord, possibly
-    # with a contractible circle; the relation row is always trivial.
+    # Every arc on the 2-point disk is trivial: surgery returns the chord
+    # and the chord with a contractible circle, so enumeration yields none.
     surface = sf.disk(2)
     k = sf.make_dividing_set((), [[(0, 1)]])
-    rows = set()
-    for _, front, back in sf.iter_bypass_surgeries(surface, k):
-        members = [m for m in (front, back) if m.closed == 0]
-        assert all(m.chords == k.chords for m in members)
-    assert True
+    for side in ("inner", "outer"):
+        for arc in _arcs_from_side(surface, k, side):
+            for order in sf._cut_orders(arc):
+                pair = sf.bypass_triple(surface, k, replace(arc, cut_order=order))
+                assert k in pair
+                assert all(m.chords == k.chords for m in pair)
+                assert sorted(m.closed > 0 for m in pair) == [False, True]
+    assert list(sf.iter_bypass_surgeries(surface, k)) == []
 
 
 def test_bypass_on_lens_circle_configuration_gives_cross_arcs():
