@@ -37,6 +37,13 @@ from .tqftcore import (
     class_of,
 )
 
+
+class UsageError(Exception):
+    """A command-line value lies outside the range the command accepts."""
+
+
+# Only named errors of the input count as input errors; any other
+# exception is a fault of the engine and surfaces as a traceback.
 INPUT_ERRORS = (
     SurfaceError,
     DividingSetError,
@@ -45,7 +52,7 @@ INPUT_ERRORS = (
     fileio.FormatError,
     BoundExceededError,
     FileNotFoundError,
-    ValueError,
+    UsageError,
 )
 
 
@@ -96,8 +103,7 @@ def _surface_from_args(args) -> "MarkedSurface":
         return annulus(*args.annulus)
     if args.punctured_torus is not None:
         return punctured_torus(args.punctured_torus)
-    data = fileio.load_json(args.surface)
-    return fileio.surface_from_dict(data.get("surface", data))
+    return fileio.surface_from_dict(fileio.surface_part(fileio.load_json(args.surface)))
 
 
 def _add_surface_flags(parser, with_file=True):
@@ -114,7 +120,7 @@ def _add_surface_flags(parser, with_file=True):
 
 def cmd_matchings(args) -> int:
     if not (1 <= args.n <= args.max_n):
-        raise ValueError(f"--n must be between 1 and {args.max_n}")
+        raise UsageError(f"--n must be between 1 and {args.max_n}")
     surface = disk(2 * args.n)
     matchings = enumerate_matchings(args.n)
     for k in matchings:
@@ -151,10 +157,9 @@ def cmd_module(args) -> int:
 
 def cmd_class(args) -> int:
     data = fileio.load_json(args.k)
-    if "surface" not in data and args.surface:
-        data = dict(data)
-        data["surface"] = fileio.load_json(args.surface).get("surface") \
-            or fileio.load_json(args.surface)
+    if args.surface and isinstance(data, dict) and "surface" not in data:
+        surface_data = fileio.surface_part(fileio.load_json(args.surface))
+        data = {**data, "surface": surface_data}
     surface, k = fileio.dividing_set_from_dict(data)
     module = build_module(surface, args.bound)
     vector = class_of(module, k)
@@ -207,7 +212,7 @@ def cmd_glue(args) -> int:
 
 def cmd_lift(args) -> int:
     if args.replay:
-        certificate = fileio.load_json(args.replay)
+        certificate = fileio.certificate_from_dict(fileio.load_json(args.replay))
         ok = replay_certificate(certificate)
         print("certificate VALID" if ok else "certificate INVALID")
         return 0 if ok else 1
@@ -290,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -301,8 +305,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ModuleBuildError as exc:
-        # A fault of the engine, not of the input.  Caught first because
-        # ModuleBuildError is a ValueError.
+        # A fault of the engine, not of the input.
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:

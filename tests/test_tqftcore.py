@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from math import comb
+
 import pytest
 
 from curvetqft import gf2
@@ -31,12 +34,14 @@ def test_gf2_reduce_is_canonical():
     assert gf2.reduce_vector(0b1010, reduced, pivots) == 0
 
 
-@pytest.mark.parametrize("n,rank", [(1, 1), (2, 2), (3, 4), (4, 8), (5, 16)])
+@pytest.mark.parametrize("n,rank", [(n, 2 ** (n - 1)) for n in range(1, 8)])
 def test_disk_module_ranks(n, rank):
+    # V^(n-1) with V = GF(2) in gradings +1 and -1: the piece of grading
+    # n-1-2j has rank binom(n-1, j).
     m = tc.build_module(sf.disk(2 * n), 0)
     assert m.rank == rank == m.expected_rank
     assert not m.warnings
-    assert sum(m.graded_ranks().values()) == rank
+    assert m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
 
 
 def test_disk_three_graded_ranks():
@@ -90,6 +95,83 @@ def test_bound_exceeded():
     twisted = sf.make_dividing_set((2,), [[(0, 3), (1, 2), (4, 7), (5, 6)]])
     with pytest.raises(tc.BoundExceededError):
         tc.class_of(m, twisted)
+
+
+def _random_pairing(rng: random.Random, lo: int, hi: int) -> list:
+    """A random non-crossing perfect matching of range(lo, hi)."""
+    if lo >= hi:
+        return []
+    partner = rng.randrange(lo + 1, hi, 2)
+    return ([(lo, partner)] + _random_pairing(rng, lo + 1, partner)
+            + _random_pairing(rng, partner + 1, hi))
+
+
+def _noncanonical_stream(surface, bound, count, seed):
+    """Colorable sets with up to bound + 2 crossings (so bigons) and circles."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        crossings = tuple(rng.randrange(bound + 3) for _ in range(surface.num_pairs))
+        layout = sf.layout_of(surface, sf.DividingSet(crossings, (), 0))
+        slots = [layout.num_slots(p) for p in range(surface.num_pieces)]
+        if any(n % 2 for n in slots):
+            continue
+        chords = [_random_pairing(rng, 0, n) for n in slots]
+        k = sf.make_dividing_set(crossings, chords, rng.choice((0, 0, 0, 1)))
+        if sf.is_colorable(surface, k):
+            out.append(k)
+    return out
+
+
+@pytest.mark.parametrize(
+    "surface,bound",
+    [(sf.disk(8), 0), (sf.annulus(2, 2), 3), (sf.punctured_torus(2), 3)],
+)
+def test_class_of_matches_region_analysis(surface, bound):
+    m = tc.build_module(surface, bound)
+    queries = _noncanonical_stream(surface, bound, 150, seed=bound)
+    for k in queries:
+        canonical = sf.canonicalize(surface, k)
+        if any(c > bound for c in canonical.crossings) and canonical.closed == 0:
+            with pytest.raises(tc.BoundExceededError):
+                tc.class_of(m, k)
+            continue
+        v = tc.class_of(m, k)
+        assert v.grading == sf.euler_grading(surface, canonical)
+        assert v.is_zero == sf.is_isolating(surface, k)
+        if canonical.closed:
+            assert v.coords == 0
+        else:
+            gen = m.generator_index(canonical)
+            assert v.coords == m.vector_in_basis(m.reduce(1 << gen))
+    # Bigons need identified segments; a disk set differs only by circles.
+    assert any(k.closed for k in queries)
+    assert surface.num_pairs == 0 or any(
+        sf.canonicalize(surface, k).crossings != k.crossings for k in queries
+    )
+
+
+def test_class_of_miss_path_errors():
+    surface = sf.annulus(2, 2)
+    m = tc.build_module(surface, 3)
+    # Canonical and within the bound, but not colorable.
+    uncolorable = sf.make_dividing_set((3,), [[(0, 5), (1, 4), (2, 3), (6, 9), (7, 8)]])
+    assert sf.is_efficient(surface, uncolorable)
+    assert not sf.is_colorable(surface, uncolorable)
+    with pytest.raises(sf.ColoringError):
+        tc.class_of(m, uncolorable)
+    # A generator at bound 4 that lies beyond bound 3.
+    beyond = sf.make_dividing_set(
+        (4,), [[(0, 9), (1, 8), (2, 7), (3, 6), (4, 5), (10, 11)]]
+    )
+    assert beyond in tc.build_module(surface, 4).generators
+    with pytest.raises(tc.BoundExceededError):
+        tc.class_of(m, beyond)
+    # With a contractible circle its class is zero, graded as the set.
+    circled = sf.make_dividing_set(beyond.crossings, beyond.chords, closed=1)
+    v = tc.class_of(m, circled)
+    assert v.is_zero and v.coords == 0
+    assert v.grading == sf.euler_grading(surface, beyond) == 2
 
 
 def test_distinct_classes_report():
