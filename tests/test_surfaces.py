@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -525,6 +526,45 @@ def test_trivial_bypass_on_single_chord():
                 assert all(m.chords == k.chords for m in pair)
                 assert sorted(m.closed > 0 for m in pair) == [False, True]
     assert list(sf.iter_bypass_surgeries(surface, k)) == []
+
+
+BYPASS_DIGEST_CASES = [(sf.disk(2 * n), 0) for n in (2, 3, 4, 5)] + [
+    (sf.annulus(2, 2), 3),
+    (sf.annulus(2, 2, (sf.POS, sf.NEG)), 2),
+    (sf.punctured_torus(2), 3),
+]
+
+# sha256 of the ordered bypass records below, recorded before bypass
+# surgery became a rotation of the six endpoints.
+BYPASS_DIGEST = "4def2d21a824aa86745f10d7be33e090cfd71e7ddbf1c2e6bb98a4ca6b172787"
+
+
+def _bypass_records(surface, bound):
+    for k in sf.enumerate_dividing_sets(surface, bound):
+        for side in ("inner", "outer"):
+            for arc in _arcs_from_side(surface, k, side):
+                if arc.cross_chord in (arc.start_chord, arc.end_chord):
+                    continue
+                try:
+                    front, back = sf.bypass_triple(surface, k, arc)
+                    result = (front.encode(), back.encode())
+                except sf.BypassError as exc:
+                    result = ("error", str(exc))
+                yield (arc.piece, arc.start_chord, arc.cross_chord, arc.end_chord,
+                       side, result)
+        for arc, front, back in sf.iter_bypass_surgeries(surface, k):
+            yield (k.encode(), arc.piece, arc.start_chord, arc.cross_chord,
+                   arc.end_chord, arc.start_side, front.encode(), back.encode())
+
+
+def test_bypass_outputs_digest():
+    # Locks the ordered (front, back) of every nontrivial arc of
+    # bypass_triple, from both sides, and every surgery enumeration yields.
+    digest = hashlib.sha256()
+    for surface, bound in BYPASS_DIGEST_CASES:
+        for record in _bypass_records(surface, bound):
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == BYPASS_DIGEST
 
 
 def test_bypass_on_lens_circle_configuration_gives_cross_arcs():
