@@ -2,7 +2,7 @@
 
 Subcommands: matchings, module, class, glue, lift, verify.  Exit codes:
 0 when all requested checks pass, 1 on a check failure, 2 on input
-errors, 3 on an internal inconsistency of a module presentation.
+errors, 3 on an internal fault of the engine.
 Machine-format output is byte-stable for identical inputs.
 """
 
@@ -32,7 +32,6 @@ from .surfaces import (
 from .tqftcore import (
     DEFAULT_BOUND,
     BoundExceededError,
-    ModuleBuildError,
     build_module,
     class_of,
 )
@@ -43,7 +42,7 @@ class UsageError(Exception):
 
 
 # Only named errors of the input count as input errors; any other
-# exception is a fault of the engine and surfaces as a traceback.
+# exception is a fault of the engine and exits 3.
 INPUT_ERRORS = (
     SurfaceError,
     DividingSetError,
@@ -304,13 +303,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ModuleBuildError as exc:
-        # A fault of the engine, not of the input.
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A fault of the engine, not of the input.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from . import gf2
 from .gluemaps import BoundaryArc, GluingDatum
 from .surfaces import (
     IDENT,
@@ -241,28 +242,6 @@ def certificate_from_dict(data: Any) -> dict:
 
 def module_to_dict(module: TqftModule) -> dict:
     """Stable export of a built module: generators, relations, basis."""
-    relations = []
-    for row in module.relation_rows:
-        indices = []
-        i = 0
-        r = row
-        while r:
-            if r & 1:
-                indices.append(i)
-            r >>= 1
-            i += 1
-        relations.append(indices)
-    basis_rows = []
-    for row in module.reduced_rows:
-        bits = []
-        i = 0
-        r = row
-        while r:
-            if r & 1:
-                bits.append(i)
-            r >>= 1
-            i += 1
-        basis_rows.append(bits)
     return {
         "surface": surface_to_dict(module.surface),
         "bound": module.bound,
@@ -276,8 +255,8 @@ def module_to_dict(module: TqftModule) -> dict:
             }
             for i, g in enumerate(module.generators)
         ],
-        "relations": relations,
-        "reduced_relation_rows": basis_rows,
+        "relations": [gf2.set_bits(row) for row in module.relation_rows],
+        "reduced_relation_rows": [gf2.set_bits(row) for row in module.reduced_rows],
         "basis_generators": list(module.basis_indices),
         "rank": module.rank,
         "graded_ranks": {str(e): r for e, r in sorted(module.graded_ranks().items())},

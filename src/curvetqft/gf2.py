@@ -16,6 +16,16 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def set_bits(x: int) -> list[int]:
+    """Indices of the set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of the row space.
 

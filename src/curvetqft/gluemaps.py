@@ -231,13 +231,8 @@ def glue_map(datum_or_info, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult:
         images.append(class_of(m_tgt, map_dividing_set(info, gen)))
     for row in m_src.relation_rows:
         acc = 0
-        i = 0
-        r = row
-        while r:
-            if r & 1:
-                acc ^= images[i].coords
-            r >>= 1
-            i += 1
+        for i in gf2.set_bits(row):
+            acc ^= images[i].coords
         if acc:
             raise GluingError(
                 "a bypass relation does not map to zero; the model is inconsistent"

@@ -18,8 +18,9 @@ and are recorded only by count.
 
 The bypass operation removes a neighborhood of an arc that meets the
 multicurve in exactly three points and reconnects the three strands in
-the other two ways that preserve the grading.  The three configurations
-so related form a bypass triple.
+the other two ways that preserve the grading: the next two rotations of
+their six endpoints.  The three configurations so related form a bypass
+triple.
 """
 
 from __future__ import annotations
@@ -567,9 +568,6 @@ class Region:
 @dataclass(frozen=True)
 class RegionData:
     regions: tuple[Region, ...]
-    region_of_face: dict
-    faces: tuple[PieceFaces, ...]
-    layout: SlotLayout
 
 
 def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> None:
@@ -662,7 +660,6 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> RegionData:
 
     id_to_face = {v: kk for kk, v in face_ids.items()}
     regions = []
-    region_of_face = {}
     for root in sorted(members):
         fids = members[root]
         color_root, par0 = uf.relation(fids[0])
@@ -677,8 +674,6 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> RegionData:
             touches_boundary=touches,
             faces=tuple(sorted(id_to_face[f] for f in fids)),
         )
-        for fid in fids:
-            region_of_face[id_to_face[fid]] = len(regions)
         regions.append(region)
 
     total_marks = num_marks(surface)
@@ -688,7 +683,7 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> RegionData:
         raise DividingSetError(
             f"internal Euler bookkeeping failed: regions sum to {got}, expected {expected}"
         )
-    return RegionData(tuple(regions), region_of_face, faces, layout)
+    return RegionData(tuple(regions))
 
 
 def label_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...]:
@@ -939,11 +934,10 @@ class BypassArc:
 
     The arc starts on start_chord, crosses cross_chord once, and ends on
     end_chord.  start_side selects which side of cross_chord the start
-    segment lies on: "inner" is the face enclosed between the chord and
-    the boundary arc from its lower to its higher slot.  When the arc
-    touches one chord more than once, cut_order fixes the order of the
-    cut points along that chord (a tuple of role names "start", "cross",
-    "end" in slot order); leave it None for the default.
+    chord lies on: "inner" is the face enclosed between the chord and
+    the boundary arc from its lower to its higher slot.  An arc that
+    starts or ends on the chord it crosses is trivial, and bypass_triple
+    rejects it.
     """
 
     piece: int
@@ -951,195 +945,46 @@ class BypassArc:
     cross_chord: Chord
     end_chord: Chord
     start_side: str = "outer"
-    cut_order: tuple | None = None
 
 
-def _chord_orientation(chord: Chord, face: int, sides: tuple[int, int]) -> tuple[int, int]:
-    """(u, v) slot ends of a chord as traversed along the given face."""
-    inner, outer = sides
-    lo, hi = chord
-    if face == outer:
-        return lo, hi
-    if face == inner:
-        return hi, lo
-    raise BypassError("chord is not adjacent to the required face")
+# The three matchings of six sorted endpoints q0 < ... < q5 in which one
+# chord separates the other two, as index pairs.  Shifting every endpoint
+# one step carries each to the next.
+_ROTATIONS = (
+    ((0, 5), (1, 4), (2, 3)),
+    ((0, 1), (2, 5), (3, 4)),
+    ((0, 3), (1, 2), (4, 5)),
+)
 
 
-def _surgery(
-    surface: MarkedSurface,
-    k: DividingSet,
-    arc: BypassArc,
-    order: tuple[str, ...] | None,
-) -> tuple[DividingSet, DividingSet] | None:
-    """Perform the two reconnections for one bypass arc.
+def _rotate(
+    k: DividingSet, piece: int, arc_chords: tuple[Chord, Chord, Chord]
+) -> tuple[DividingSet, DividingSet]:
+    """Raw (front, back) of the bypass on three chords of one piece.
 
-    Returns (front, back) before canonicalization, or None when the cut
-    order is not geometrically realizable (the reconnection would cross).
+    The chords, one separating the other two, are one rotation of their
+    six endpoints; front and back are the next two.  Every other chord
+    of the piece has both ends between two consecutive endpoints, so it
+    stays, as do the other pieces and the closed components.
     """
-    p = arc.piece
-    layout = layout_of(surface, k)
-    faces = piece_faces(layout.num_slots(p), k.chords[p])
-    for chord in (arc.start_chord, arc.cross_chord, arc.end_chord):
-        if chord not in faces.chord_sides:
-            raise BypassError(f"chord {chord} is not part of the dividing set")
-    inner, outer = faces.faces_of_chord(arc.cross_chord)
-    if arc.start_side == "inner":
-        f0, f1 = inner, outer
-    elif arc.start_side == "outer":
-        f0, f1 = outer, inner
-    else:
-        raise BypassError("start_side must be 'inner' or 'outer'")
-
-    u_a, v_a = _chord_orientation(
-        arc.start_chord, f0, faces.faces_of_chord(arc.start_chord)
-    )
-    u_b, v_b = _chord_orientation(arc.cross_chord, f0, faces.faces_of_chord(arc.cross_chord))
-    u_c, v_c = _chord_orientation(arc.end_chord, f1, faces.faces_of_chord(arc.end_chord))
-
-    roles = {
-        "start": (arc.start_chord, u_a, v_a),
-        "cross": (arc.cross_chord, u_b, v_b),
-        "end": (arc.end_chord, u_c, v_c),
-    }
-    by_chord: dict[Chord, list[str]] = {}
-    for name, (chord, _, _) in roles.items():
-        by_chord.setdefault(chord, []).append(name)
-    if order is None:
-        if any(len(names) > 1 for names in by_chord.values()):
-            raise BypassError("cut_order is required when the arc touches a chord twice")
-        order = ()
-    ordering: dict[Chord, tuple[str, ...]] = {}
-    pos = 0
-    for chord, names in sorted(by_chord.items()):
-        if len(names) == 1:
-            ordering[chord] = (names[0],)
-        else:
-            take = order[pos: pos + len(names)]
-            if sorted(take) != sorted(names):
-                raise BypassError(f"cut order {order!r} does not cover chord {chord}")
-            ordering[chord] = tuple(take)
-            pos += len(names)
-
-    # Node names: chord slots, plus (role, "u"/"v") stub ends at each cut.
-    edges: list[tuple] = []
-    for chord in k.chords[p]:
-        if chord not in by_chord:
-            edges.append((("s", chord[0]), ("s", chord[1])))
-    for chord, names in ordering.items():
-        lo, hi = chord
-        seq: list[tuple] = [("s", lo)]
-        for name in names:
-            _, u, v = roles[name]
-            lo_side = (name, "u") if u == lo else (name, "v")
-            hi_side = (name, "v") if u == lo else (name, "u")
-            seq.append(lo_side)
-            seq.append(hi_side)
-        seq.append(("s", hi))
-        for i in range(0, len(seq), 2):
-            edges.append((seq[i], seq[i + 1]))
-
-    def trace(local_pairs: list[tuple]) -> tuple[list[Chord], int] | None:
-        """Resolve stubs plus a local re-pairing into chords and loops.
-
-        Slot nodes have degree 1 and stub-end nodes degree 2, so the edge
-        set is a disjoint union of slot-to-slot paths (the new chords) and
-        cycles (new contractible components).  Parallel edges are legal.
-        """
-        all_edges = edges + local_pairs
-        incident: dict[tuple, list[int]] = {}
-        for eid, (x, y) in enumerate(all_edges):
-            incident.setdefault(x, []).append(eid)
-            incident.setdefault(y, []).append(eid)
-        for node, eids in incident.items():
-            if len(eids) != (1 if node[0] == "s" else 2):
-                return None
-        used: set[int] = set()
-        new_chords: list[Chord] = []
-        for slot in range(layout.num_slots(p)):
-            node = ("s", slot)
-            eid = incident[node][0]
-            if eid in used:
-                continue
-            cur = node
-            while True:
-                used.add(eid)
-                x, y = all_edges[eid]
-                cur = y if x == cur else x
-                if cur[0] == "s":
-                    break
-                e1, e2 = incident[cur]
-                eid = e2 if e1 == eid else e1
-            new_chords.append(tuple(sorted((slot, cur[1]))))
-        loops = 0
-        rem = set(range(len(all_edges))) - used
-        while rem:
-            start_eid = rem.pop()
-            cur = all_edges[start_eid][0]
-            cur_eid = start_eid
-            while True:
-                x, y = all_edges[cur_eid]
-                cur = y if x == cur else x
-                e1, e2 = incident[cur]
-                cur_eid = e2 if e1 == cur_eid else e1
-                if cur_eid == start_eid:
-                    break
-                rem.discard(cur_eid)
-            loops += 1
-        return new_chords, loops
-
-    original = [(("start", "u"), ("start", "v")),
-                (("cross", "u"), ("cross", "v")),
-                (("end", "u"), ("end", "v"))]
-    front_pairs = [(("start", "u"), ("end", "u")),
-                   (("cross", "v"), ("end", "v")),
-                   (("cross", "u"), ("start", "v"))]
-    back_pairs = [(("start", "u"), ("cross", "v")),
-                  (("start", "v"), ("end", "v")),
-                  (("cross", "u"), ("end", "u"))]
-
-    check = trace(original)
-    if check is None or sorted(check[0]) != sorted(k.chords[p]) or check[1]:
-        return None
-
-    results = []
-    for local in (front_pairs, back_pairs):
-        traced = trace(local)
-        if traced is None:
-            return None
-        new_chords, loops = traced
-        if not is_noncrossing(layout.num_slots(p), tuple(sorted(new_chords))):
-            return None
+    q = sorted(s for chord in arc_chords for s in chord)
+    # The partner of q0 names the rotation k holds.
+    partner = next(b for a, b in arc_chords if a == q[0])
+    i = (q[5], q[1], q[3]).index(partner)
+    rest = [c for c in k.chords[piece] if c not in arc_chords]
+    out = []
+    for step in (1, 2):
         chords = list(k.chords)
-        chords = [list(c) for c in chords]
-        chords[p] = new_chords
-        results.append(
-            make_dividing_set(k.crossings, chords, k.closed + loops)
-        )
-    return results[0], results[1]
-
-
-def _cut_orders(arc: BypassArc) -> list[tuple[str, ...] | None]:
-    by_chord: dict[Chord, list[str]] = {}
-    for name, chord in (
-        ("start", arc.start_chord),
-        ("cross", arc.cross_chord),
-        ("end", arc.end_chord),
-    ):
-        by_chord.setdefault(chord, []).append(name)
-    if all(len(v) == 1 for v in by_chord.values()):
-        return [None]
-    pools = []
-    for chord, names in sorted(by_chord.items()):
-        if len(names) > 1:
-            pools.append(list(itertools.permutations(names)))
-    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
+        chords[piece] = rest + [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]
+        out.append(make_dividing_set(k.crossings, chords, k.closed))
+    return out[0], out[1]
 
 
 def _realize(
     surface: MarkedSurface,
     k: DividingSet,
     base_e: int,
-    raw: tuple[DividingSet, DividingSet] | None,
+    raw: tuple[DividingSet, DividingSet],
     gradings: dict,
 ) -> tuple[DividingSet, DividingSet] | None:
     """Canonical (front, back) of a raw surgery on k, or None if unrealizable.
@@ -1147,8 +992,6 @@ def _realize(
     Both results must be consistently colorable, and a result without new
     contractible components must keep k's grading base_e.
     """
-    if raw is None:
-        return None
     front, back = (canonicalize(surface, s) for s in raw)
     for result in (front, back):
         e = _grade(surface, result, gradings)
@@ -1163,19 +1006,39 @@ def bypass_triple(
     """The other two members of the bypass triple through k along arc.
 
     Results are canonicalized.  Outside a neighborhood of the arc all
-    three configurations agree; inside, they run through the three
-    grading-preserving configurations of the six-endpoint disk.  Any arc
-    is accepted, including trivial ones and explicit cut orders.
+    three configurations agree; inside, the three chords the arc meets
+    are replaced by the next two rotations of their six endpoints.  The
+    chords must belong to k, and the start and end chords must meet the
+    faces on either side of the cross chord.  A trivial arc is rejected:
+    its triple holds k twice and a set with a contractible circle, so
+    its relation is zero.
     """
     validate_dividing_set(surface, k)
-    orders = [arc.cut_order] if arc.cut_order is not None else _cut_orders(arc)
+    layout = layout_of(surface, k)
+    faces = piece_faces(layout.num_slots(arc.piece), k.chords[arc.piece])
+    chords = (arc.start_chord, arc.cross_chord, arc.end_chord)
+    for chord in chords:
+        if chord not in faces.chord_sides:
+            raise BypassError(f"chord {chord} is not part of the dividing set")
+    inner, outer = faces.faces_of_chord(arc.cross_chord)
+    if arc.start_side == "inner":
+        f0, f1 = inner, outer
+    elif arc.start_side == "outer":
+        f0, f1 = outer, inner
+    else:
+        raise BypassError("start_side must be 'inner' or 'outer'")
+    if f0 not in faces.chord_sides[arc.start_chord] or \
+            f1 not in faces.chord_sides[arc.end_chord]:
+        raise BypassError("chord is not adjacent to the required face")
+    if arc.cross_chord in (arc.start_chord, arc.end_chord):
+        raise BypassError("trivial arc: it starts or ends on the chord it crosses")
     base_e = euler_grading(surface, k)
-    gradings = {k.encode(): base_e}
-    for order in orders:
-        realized = _realize(surface, k, base_e, _surgery(surface, k, arc, order), gradings)
-        if realized is not None:
-            return realized
-    raise BypassError("no realizable bypass arc with the given data")
+    realized = _realize(
+        surface, k, base_e, _rotate(k, arc.piece, chords), {k.encode(): base_e}
+    )
+    if realized is None:
+        raise BypassError("no realizable bypass arc with the given data")
+    return realized
 
 
 def iter_bypass_surgeries(
@@ -1184,14 +1047,15 @@ def iter_bypass_surgeries(
     """The realizable nontrivial bypass surgeries on k, as (arc, front, back).
 
     front and back are canonical.  Trivial arcs, which start or end on the
-    chord they cross, are skipped: they return k and k with a contractible
-    circle, a zero relation row.  The faces of a piece form a tree, so the
-    remaining arcs touch three distinct chords and need no cut order.  Only
-    arcs starting on the outer side of the cross chord are tried: the inner
+    chord they cross, are skipped: their triple holds k twice and a set
+    with a contractible circle, which is zero, so the relation row is 0.
+    The faces of a piece form a tree, so the remaining arcs touch three
+    distinct chords, the cross chord separating the other two.  Only arcs
+    starting on the outer side of the cross chord are tried: the inner
     arc (s, c, e) is the outer arc (e, c, s) reversed and gives the same
-    pair.  A surgery is kept when its reconnections are planar, consistently
-    colorable and grading-preserving.  gradings is _grade's encoding ->
-    grading map; a module build passes one map to every call so that each
+    pair.  A surgery is kept when its results are consistently colorable
+    and grading-preserving.  gradings is _grade's encoding -> grading
+    map; a module build passes one map to every call so that each
     dividing set is analyzed once.
     """
     if gradings is None:
@@ -1212,9 +1076,7 @@ def iter_bypass_surgeries(
                 for end in adjacency[inner]:
                     if cross in (start, end):
                         continue
-                    arc = BypassArc(p, start, cross, end)
-                    realized = _realize(
-                        surface, k, base_e, _surgery(surface, k, arc, None), gradings
-                    )
+                    raw = _rotate(k, p, (start, cross, end))
+                    realized = _realize(surface, k, base_e, raw, gradings)
                     if realized is not None:
-                        yield (arc, *realized)
+                        yield (BypassArc(p, start, cross, end), *realized)

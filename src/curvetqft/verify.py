@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 
 from . import gf2
 from .gluemaps import attach_arc_map, cut_check
@@ -72,8 +73,7 @@ def check_disk_ranks() -> CheckResult:
             m = build_module(disk(2 * n), 0)
             ok &= m.rank == 2 ** (n - 1)
             details.append(f"n={n}:{m.rank}")
-            if n == 3:
-                ok &= m.graded_ranks() == {2: 1, 0: 2, -2: 1}
+            ok &= m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
         elapsed = time.perf_counter() - start
         ok &= elapsed < 60.0
         return ok, f"{' '.join(details)} in {elapsed:.1f}s"

@@ -258,8 +258,10 @@ def test_internal_value_error_is_not_input_error(monkeypatch, capsys):
         raise ValueError("an engine fault")
 
     monkeypatch.setattr(cli, "build_module", broken)
-    with pytest.raises(ValueError, match="an engine fault"):
-        main(["module", "--disk", "4"])
+    code, out, err = run_cli(capsys, "module", "--disk", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ValueError: an engine fault\n"
 
 
 def test_class_with_separate_surface_file(tmp_path, capsys):
@@ -275,9 +277,10 @@ def test_class_with_separate_surface_file(tmp_path, capsys):
 
 def test_module_build_error_is_internal(monkeypatch, capsys):
     from curvetqft import cli
+    from curvetqft.tqftcore import ModuleBuildError
 
     def broken(surface, bound=4):
-        raise cli.ModuleBuildError("bypass relation mixes gradings (2 vs 0)")
+        raise ModuleBuildError("bypass relation mixes gradings (2 vs 0)")
 
     monkeypatch.setattr(cli, "build_module", broken)
     code, _, err = run_cli(capsys, "module", "--disk", "4")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -479,28 +478,6 @@ PRUNING_CASES = [(sf.disk(2 * n), 0) for n in (2, 3, 4)] + [
 
 
 @pytest.mark.parametrize("surface,bound", PRUNING_CASES)
-def test_trivial_bypass_gives_zero_row(surface, bound):
-    # An arc that starts or ends on the chord it crosses returns k itself
-    # and a set with a contractible circle, under every cut order, so its
-    # relation row k + k + 0 is zero and enumeration may skip it.
-    realized = 0
-    for k in sf.enumerate_dividing_sets(surface, bound):
-        for side in ("inner", "outer"):
-            for arc in _arcs_from_side(surface, k, side):
-                if arc.cross_chord not in (arc.start_chord, arc.end_chord):
-                    continue
-                for order in sf._cut_orders(arc):
-                    pair = _triple_or_none(surface, k, replace(arc, cut_order=order))
-                    if pair is None:
-                        continue
-                    realized += 1
-                    same, = (m for m in pair if m == k)
-                    other, = pair - {same}
-                    assert other.closed > 0
-    assert realized > 0
-
-
-@pytest.mark.parametrize("surface,bound", PRUNING_CASES)
 def test_reversed_arc_gives_same_pair(surface, bound):
     # The inner arc (s, c, e) is the outer arc (e, c, s) traversed backwards.
     for k in sf.enumerate_dividing_sets(surface, bound):
@@ -514,17 +491,15 @@ def test_reversed_arc_gives_same_pair(surface, bound):
 
 
 def test_trivial_bypass_on_single_chord():
-    # Every arc on the 2-point disk is trivial: surgery returns the chord
-    # and the chord with a contractible circle, so enumeration yields none.
+    # Every arc on the 2-point disk starts or ends on the chord it crosses:
+    # bypass_triple rejects it and enumeration yields nothing.
     surface = sf.disk(2)
     k = sf.make_dividing_set((), [[(0, 1)]])
-    for side in ("inner", "outer"):
-        for arc in _arcs_from_side(surface, k, side):
-            for order in sf._cut_orders(arc):
-                pair = sf.bypass_triple(surface, k, replace(arc, cut_order=order))
-                assert k in pair
-                assert all(m.chords == k.chords for m in pair)
-                assert sorted(m.closed > 0 for m in pair) == [False, True]
+    arcs = [arc for side in ("inner", "outer") for arc in _arcs_from_side(surface, k, side)]
+    assert arcs
+    for arc in arcs:
+        with pytest.raises(sf.BypassError, match="trivial"):
+            sf.bypass_triple(surface, k, arc)
     assert list(sf.iter_bypass_surgeries(surface, k)) == []
 
 
