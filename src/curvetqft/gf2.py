@@ -20,9 +20,8 @@ def set_bits(x: int) -> list[int]:
     """Indices of the set bits of x, in increasing order."""
     out = []
     while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
+        out.append(lowest_bit(x))
+        x &= x - 1
     return out
 
 
