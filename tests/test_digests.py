@@ -4,15 +4,22 @@ The digests are sha256 sums of the command's standard output, recorded
 before bypass enumeration skipped trivial and reversed arcs and graded each
 dividing set once per build.  Any change to generators, relation rows,
 reduced rows, pivots or graded ranks changes them.
+
+The canonicalize digest locks the bigon reduction of a seeded stream of
+random, possibly uncolorable dividing sets, recorded before the reduction
+worked on fixed slot keys.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
+from curvetqft import surfaces as sf
 from curvetqft.cli import main
+from curvetqft.gluemaps import attach_arc_datum, glue_surfaces
 
 DIGESTS = {
     ("--disk", "2", "--bound", "0"):
@@ -46,3 +53,60 @@ def test_module_machine_digest(flags, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[flags]
+
+
+CANONICALIZE_SURFACES = [
+    sf.disk(8),
+    sf.annulus(2, 2),
+    sf.annulus(2, 2, (sf.POS, sf.NEG)),
+    sf.punctured_torus(2),
+    sf.punctured_torus(4),
+] + [glue_surfaces(attach_arc_datum(3, j)).target for j in range(3)]
+CANONICALIZE_SETS_PER_SURFACE = 2000
+CANONICALIZE_MAX_CROSSINGS = 5
+CANONICALIZE_DIGEST = "381b40c0c08c71ba280726290bf5e0cc5125f4e5673aa40bf528982b510af205"
+
+
+def _random_pairing(rng, num_slots):
+    """A random non-crossing perfect matching of range(num_slots)."""
+    chords = []
+    stack = [(0, num_slots)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        partner = lo + 1 + 2 * rng.randrange((hi - lo) // 2)
+        chords.append((lo, partner))
+        stack.append((lo + 1, partner))
+        stack.append((partner + 1, hi))
+    return tuple(sorted(chords))
+
+
+def _random_sets(surface, rng, count):
+    """Seeded random dividing sets, colorable or not, some with circles."""
+    made = 0
+    while made < count:
+        crossings = tuple(
+            rng.randrange(CANONICALIZE_MAX_CROSSINGS + 1) for _ in range(surface.num_pairs)
+        )
+        layout = sf.layout_of(surface, sf.DividingSet(crossings, (), 0))
+        counts = [layout.num_slots(p) for p in range(surface.num_pieces)]
+        if any(c % 2 for c in counts):
+            continue
+        chords = tuple(_random_pairing(rng, c) for c in counts)
+        closed = rng.choice((0, 0, 0, 0, 1, 2))
+        made += 1
+        yield sf.DividingSet(crossings, chords, closed)
+
+
+def test_canonicalize_digest():
+    # Locks the ordered canonical forms, and that canonicalize returns
+    # its argument itself exactly when it has no bigon.
+    rng = random.Random(6)
+    digest = hashlib.sha256()
+    for surface in CANONICALIZE_SURFACES:
+        for k in _random_sets(surface, rng, CANONICALIZE_SETS_PER_SURFACE):
+            reduced = sf.canonicalize(surface, k)
+            assert (reduced is k) == sf.is_efficient(surface, k)
+            digest.update(repr(reduced.encode()).encode())
+    assert digest.hexdigest() == CANONICALIZE_DIGEST
