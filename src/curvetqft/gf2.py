@@ -8,7 +8,7 @@ canonical for a fixed column order.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def lowest_bit(x: int) -> int:
@@ -50,7 +50,7 @@ def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [basis[p] for p in pivots], pivots
 
 
-def reduce_vector(vec: int, reduced_rows: list[int], pivots: list[int]) -> int:
+def reduce_vector(vec: int, reduced_rows: Sequence[int], pivots: Sequence[int]) -> int:
     """Canonical representative of vec modulo the row space."""
     for row, p in zip(reduced_rows, pivots):
         if (vec >> p) & 1:

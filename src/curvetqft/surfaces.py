@@ -570,8 +570,11 @@ class RegionData:
     regions: tuple[Region, ...]
 
 
-def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> None:
-    """Structural validity: crossing vector, perfect non-crossing pairings."""
+def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
+    """Structural validity: crossing vector, perfect non-crossing pairings.
+
+    Returns k's slot layout.
+    """
     layout = layout_of(surface, k)
     if len(k.chords) != surface.num_pieces:
         raise DividingSetError("chord data does not cover every piece")
@@ -584,6 +587,7 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> None:
             raise DividingSetError(
                 f"piece {p}: chords are not a non-crossing perfect matching of its slots"
             )
+    return layout
 
 
 def analyze_regions(surface: MarkedSurface, k: DividingSet) -> RegionData:
@@ -595,8 +599,7 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> RegionData:
     only faces and glued gaps contribute to a region's Euler
     characteristic, so chi(region) = #faces - #glued gaps.
     """
-    validate_dividing_set(surface, k)
-    layout = layout_of(surface, k)
+    layout = validate_dividing_set(surface, k)
     faces = tuple(
         piece_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)
     )
@@ -784,29 +787,6 @@ def catalan(n: int) -> int:
 # Canonical form: greedy bigon reduction
 # ---------------------------------------------------------------------------
 
-def _chords_as_keys(layout: SlotLayout, k: DividingSet) -> list[set]:
-    out = []
-    for p in range(layout.surface.num_pieces):
-        out.append(
-            {frozenset((layout.key(p, a), layout.key(p, b))) for a, b in k.chords[p]}
-        )
-    return out
-
-
-def _keys_to_dividing_set(
-    surface: MarkedSurface, crossings: tuple[int, ...], key_chords: list[set], closed: int
-) -> DividingSet:
-    layout = _layout(surface, crossings)
-    chords = []
-    for p in range(surface.num_pieces):
-        pairs = []
-        for chord in key_chords[p]:
-            a, b = tuple(chord)
-            pairs.append((layout.index[a][1], layout.index[b][1]))
-        chords.append(pairs)
-    return make_dividing_set(crossings, chords, closed)
-
-
 def _find_bigon(layout: SlotLayout, k: DividingSet):
     """First chord joining consecutive crossings of one segment side."""
     for p in range(layout.surface.num_pieces):
@@ -819,65 +799,89 @@ def _find_bigon(layout: SlotLayout, k: DividingSet):
     return None
 
 
+def _next_bigon(layout: SlotLayout, mate: dict, alive: dict):
+    """First bigon, by piece and low slot, on the surviving slot keys."""
+    for keys in layout.slots:
+        for key in keys:
+            other = mate.get(key)
+            if key[0] != "x" or other is None or other[0] != "x" \
+                    or other[1] != key[1] or other[2] != key[2] or other[3] < key[3]:
+                continue
+            live = alive[key[1], key[2]]
+            if live[bisect.bisect_left(live, key[3]) + 1] == other[3]:
+                return key, other
+    return None
+
+
 def canonicalize(surface: MarkedSurface, k: DividingSet) -> DividingSet:
     """Greedy bigon reduction to the canonical bigon-free representative.
 
     A bigon is a chord joining two consecutive crossings of one
     identification segment.  Removing it deletes both crossings (and the
     partner crossings), reconnects the partner chords, and increments the
-    contractible count when the partner strand closes up.
+    contractible count when the partner strand closes up.  Bigons are
+    removed first by piece, then by low slot.  Returns k itself when it
+    has no bigon.
     """
-    validate_dividing_set(surface, k)
+    return _reduce(validate_dividing_set(surface, k), k)
+
+
+def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
+    """canonicalize without validation, for a set laid out by layout.
+
+    Works on the slot keys of k's layout throughout.  A removal deletes
+    two consecutive crossings of one segment side and their partners, so
+    the surviving keys stay partnered and keep their boundary order:
+    consecutive crossings are neighbours among the surviving positions
+    of a side.  The keys are renumbered into the final layout once.
+    """
+    found = _find_bigon(layout, k)
+    if found is None:
+        return k
+    mate: dict[SlotKey, SlotKey] = {}
+    for keys, chords in zip(layout.slots, k.chords):
+        for a, b in chords:
+            mate[keys[a]] = keys[b]
+            mate[keys[b]] = keys[a]
+    # Surviving crossing positions of each segment side, ascending.
+    alive = {
+        (pair, side): list(range(r)) for pair, r in enumerate(k.crossings) for side in (0, 1)
+    }
     crossings = list(k.crossings)
     closed = k.closed
-    current = k
-    while True:
-        layout = _layout(surface, tuple(crossings))
-        found = _find_bigon(layout, current)
-        if found is None:
-            return current
-        p, (a, b) = found
-        ka = layout.key(p, a)
-        kb = layout.key(p, b)
-        pair = ka[1]
-        lo_pos = min(ka[3], kb[3])
-        key_chords = _chords_as_keys(layout, current)
-        key_chords[p].discard(frozenset((ka, kb)))
+    p, (a, b) = found
+    bigon = (layout.key(p, a), layout.key(p, b))
+    while bigon is not None:
+        ka, kb = bigon
         pa, pb = layout.partner_key(ka), layout.partner_key(kb)
-        ppiece = layout.index[pa][0]
-        if frozenset((pa, pb)) in key_chords[ppiece]:
-            key_chords[ppiece].discard(frozenset((pa, pb)))
+        for key in (ka, kb, pa, pb):
+            live = alive[key[1], key[2]]
+            del live[bisect.bisect_left(live, key[3])]
+        del mate[ka], mate[kb]
+        end_a, end_b = mate.pop(pa), mate.pop(pb)
+        if end_a == pb:
             closed += 1
         else:
-            end_a = end_b = None
-            for chord in list(key_chords[ppiece]):
-                if pa in chord:
-                    end_a = next(iter(chord - {pa}))
-                    key_chords[ppiece].discard(chord)
-                if pb in chord:
-                    end_b = next(iter(chord - {pb}))
-                    key_chords[ppiece].discard(chord)
-            key_chords[ppiece].add(frozenset((end_a, end_b)))
+            mate[end_a] = end_b
+            mate[end_b] = end_a
+        crossings[ka[1]] -= 2
+        bigon = _next_bigon(layout, mate, alive)
 
-        # Renumber the surviving crossings of this pair.
-        def renumber(key: SlotKey) -> SlotKey:
-            if key[0] == "x" and key[1] == pair:
-                _, _, side, pos = key
-                removed = (lo_pos, lo_pos + 1) if side == ka[2] else (
-                    crossings[pair] - 2 - lo_pos,
-                    crossings[pair] - 1 - lo_pos,
-                )
-                shift = sum(1 for r in removed if pos > r)
-                return ("x", pair, side, pos - shift)
-            return key
+    final = _layout(layout.surface, tuple(crossings))
 
-        key_chords = [
-            {frozenset(renumber(x) for x in chord) for chord in piece}
-            for piece in key_chords
-        ]
-        crossings[pair] -= 2
-        current = _keys_to_dividing_set(surface, tuple(crossings), key_chords, closed)
-        closed = current.closed
+    def slot(key: SlotKey) -> tuple[int, int]:
+        if key[0] == "x":
+            _, pair, side, pos = key
+            key = ("x", pair, side, bisect.bisect_left(alive[pair, side], pos))
+        return final.index[key]
+
+    chords: list[list[Chord]] = [[] for _ in k.chords]
+    for key, other in mate.items():
+        piece, a = slot(key)
+        b = slot(other)[1]
+        if a < b:
+            chords[piece].append((a, b))
+    return make_dividing_set(crossings, chords, closed)
 
 
 def is_efficient(surface: MarkedSurface, k: DividingSet) -> bool:
@@ -992,7 +996,8 @@ def _realize(
     Both results must be consistently colorable, and a result without new
     contractible components must keep k's grading base_e.
     """
-    front, back = (canonicalize(surface, s) for s in raw)
+    layout = layout_of(surface, k)
+    front, back = (_reduce(layout, s) for s in raw)
     for result in (front, back):
         e = _grade(surface, result, gradings)
         if e is None or (result.closed == k.closed and e != base_e):
@@ -1013,8 +1018,9 @@ def bypass_triple(
     its triple holds k twice and a set with a contractible circle, so
     its relation is zero.
     """
-    validate_dividing_set(surface, k)
-    layout = layout_of(surface, k)
+    layout = validate_dividing_set(surface, k)
+    if not 0 <= arc.piece < surface.num_pieces:
+        raise BypassError(f"piece {arc.piece} is not a piece of the surface")
     faces = piece_faces(layout.num_slots(arc.piece), k.chords[arc.piece])
     chords = (arc.start_chord, arc.cross_chord, arc.end_chord)
     for chord in chords:

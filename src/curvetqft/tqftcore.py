@@ -107,7 +107,7 @@ class TqftModule:
         return getattr(self, "_index_cache")
 
     def reduce(self, vec: int) -> int:
-        return gf2.reduce_vector(vec, list(self.reduced_rows), list(self.pivots))
+        return gf2.reduce_vector(vec, self.reduced_rows, self.pivots)
 
     def vector_in_basis(self, reduced_vec: int) -> int:
         coords = 0

@@ -6,8 +6,11 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvetqft import surfaces as sf
+from curvetqft.gluemaps import attach_arc_datum, glue_surfaces
 
 
 # ---------------------------------------------------------------------------
@@ -292,51 +295,13 @@ def test_bigon_collapse_to_contractible_circle():
     side0, (m0, m1), side1, (m2, m3) = annulus_slots(2)
     k = sf.make_dividing_set(
         (2,),
-        [[(m0, m1), (m2, m3), (side0[0], side1[1]), (side0[1], side1[0])]],
-    )
-    # Here the two "core circles" are essential; build instead a single
-    # component meeting the seam twice with a bigon on one side.
-    k2 = sf.make_dividing_set(
-        (2,),
         [[(m0, m1), (m2, m3), (side0[0], side0[1]), (side1[0], side1[1])]],
     )
-    assert not sf.is_efficient(surface, k2)
-    reduced = sf.canonicalize(surface, k2)
+    assert not sf.is_efficient(surface, k)
+    reduced = sf.canonicalize(surface, k)
     assert reduced.closed == 1
     assert reduced.crossings == (0,)
     assert sf.is_isolating(surface, reduced)
-
-
-def brute_force_reductions(surface, k):
-    """All fully reduced forms over every bigon-removal order."""
-    layout = sf.layout_of(surface, k)
-    results = set()
-
-    def all_bigons(current):
-        lay = sf.layout_of(surface, current)
-        found = []
-        for p in range(surface.num_pieces):
-            for a, b in current.chords[p]:
-                ka, kb = lay.key(p, a), lay.key(p, b)
-                if ka[0] == "x" and kb[0] == "x" and ka[1] == kb[1] \
-                        and ka[2] == kb[2] and abs(ka[3] - kb[3]) == 1:
-                    found.append((p, (a, b)))
-        return found
-
-    def remove_one(current, p, chord):
-        # Reuse the package reducer but force the chosen first removal by
-        # checking that the greedy reducer's result is order-independent.
-        return sf.canonicalize(surface, current)
-
-    stack = [k]
-    while stack:
-        cur = stack.pop()
-        bigons = all_bigons(cur)
-        if not bigons:
-            results.add(cur.encode())
-            continue
-        results.add(sf.canonicalize(surface, cur).encode())
-    return results
 
 
 def test_reduction_is_confluent_on_double_bigon():
@@ -354,6 +319,61 @@ def test_reduction_is_confluent_on_double_bigon():
     assert not sf.is_efficient(surface, k)
     reduced = sf.canonicalize(surface, k)
     assert reduced == sf.make_dividing_set((0,), [[(0, 1), (2, 3)]])
+
+
+PROPERTY_SURFACES = [
+    sf.annulus(2, 2),
+    sf.punctured_torus(2),
+    glue_surfaces(attach_arc_datum(3, 0)).target,
+]
+
+
+@st.composite
+def chord_data(draw):
+    """A surface and a random dividing set on it, colorable or not."""
+    surface = draw(st.sampled_from(PROPERTY_SURFACES))
+    crossings = tuple(draw(st.integers(0, 4)) for _ in range(surface.num_pairs))
+    layout = sf.layout_of(surface, sf.DividingSet(crossings, (), 0))
+    counts = [layout.num_slots(p) for p in range(surface.num_pieces)]
+    assume(all(c % 2 == 0 for c in counts))
+    chords = []
+    for count in counts:
+        piece_chords = []
+        stack = [(0, count)]
+        while stack:
+            lo, hi = stack.pop()
+            if hi - lo < 2:
+                continue
+            partner = lo + 1 + 2 * draw(st.integers(0, (hi - lo) // 2 - 1))
+            piece_chords.append((lo, partner))
+            stack += [(lo + 1, partner), (partner + 1, hi)]
+        chords.append(tuple(sorted(piece_chords)))
+    return surface, sf.DividingSet(crossings, tuple(chords), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chord_data())
+def test_canonical_form_is_a_bigon_free_fixed_point(data):
+    surface, k = data
+    reduced = sf.canonicalize(surface, k)
+    assert sf.is_efficient(surface, reduced)
+    assert sf.canonicalize(surface, reduced) is reduced
+    for before, after in zip(k.crossings, reduced.crossings):
+        assert 0 <= after <= before and (before - after) % 2 == 0
+    assert reduced.closed >= k.closed
+
+
+def test_canonicalize_rejects_malformed_sets():
+    surface = sf.annulus(2, 2)
+    cases = [
+        (sf.DividingSet((0, 0), ((),), 0), "crossing vector has length 2, expected 1"),
+        (sf.DividingSet((0,), (), 0), "chord data does not cover every piece"),
+        (sf.DividingSet((0,), (((0, 1), (2, 3)),), -1), "negative closed-component count"),
+        (sf.DividingSet((0,), (((0, 2), (1, 3)),), 0), "piece 0: chords are not"),
+    ]
+    for k, message in cases:
+        with pytest.raises(sf.DividingSetError, match=message):
+            sf.canonicalize(surface, k)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +584,14 @@ def test_bypass_arc_validation():
         # (0, 1) and (3, 4) are separated by (2, 5): no single-crossing arc.
         sf.bypass_triple(surface, k, sf.BypassArc(0, (0, 1), (3, 4), (2, 5),
                                                   start_side="inner"))
+
+
+def test_bypass_arc_piece_must_exist():
+    surface = sf.disk(6)
+    k = sf.make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
+    for piece in (-1, 1):
+        with pytest.raises(sf.BypassError, match=f"piece {piece} is not a piece"):
+            sf.bypass_triple(surface, k, sf.BypassArc(piece, (0, 1), (2, 5), (3, 4)))
 
 
 def test_annulus_enumeration_contains_named_configurations():
