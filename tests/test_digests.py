@@ -7,7 +7,9 @@ reduced rows, pivots or graded ranks changes them.
 
 The canonicalize digest locks the bigon reduction of a seeded stream of
 random, possibly uncolorable dividing sets, recorded before the reduction
-worked on fixed slot keys.
+worked on fixed slot keys.  The region digest locks colorability,
+grading, isolation and the region multiset of such sets, recorded before
+region analysis ran as one union-find pass.
 """
 
 from __future__ import annotations
@@ -110,3 +112,27 @@ def test_canonicalize_digest():
             assert (reduced is k) == sf.is_efficient(surface, k)
             digest.update(repr(reduced.encode()).encode())
     assert digest.hexdigest() == CANONICALIZE_DIGEST
+
+
+REGION_SURFACES = CANONICALIZE_SURFACES + [sf.disjoint_union(sf.disk(4), sf.annulus(2, 2))]
+REGION_SETS_PER_SURFACE = 400
+REGION_DIGEST = "aa120c35bfa9e34c2b1780b4539502cfc2aadeb8a282572cf2bc6669f8ade117"
+
+
+def _region_summary(surface, k):
+    if not sf.is_colorable(surface, k):
+        return None
+    regions = sorted((r.sign, r.euler, r.touches_boundary) for r in sf.label_regions(surface, k))
+    return (sf.euler_grading(surface, k), sf.is_isolating(surface, k), regions)
+
+
+def test_region_digest():
+    # Locks colorability, grading, isolation and the region multiset of
+    # seeded random sets, raw and canonical; region order is free.
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for surface in REGION_SURFACES:
+        for k in _random_sets(surface, rng, REGION_SETS_PER_SURFACE):
+            for s in (k, sf.canonicalize(surface, k)):
+                digest.update(repr(_region_summary(surface, s)).encode())
+    assert digest.hexdigest() == REGION_DIGEST
