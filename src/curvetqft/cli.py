@@ -37,6 +37,10 @@ from .tqftcore import (
 )
 
 
+# Largest --n of the matchings command: C_8 = 1430 matchings.
+MAX_MATCHINGS_N = 8
+
+
 class UsageError(Exception):
     """A command-line value lies outside the range the command accepts."""
 
@@ -118,8 +122,8 @@ def _add_surface_flags(parser, with_file=True):
 
 
 def cmd_matchings(args) -> int:
-    if not (1 <= args.n <= args.max_n):
-        raise UsageError(f"--n must be between 1 and {args.max_n}")
+    if not (1 <= args.n <= MAX_MATCHINGS_N):
+        raise UsageError(f"--n must be between 1 and {MAX_MATCHINGS_N}")
     surface = disk(2 * args.n)
     matchings = enumerate_matchings(args.n)
     for k in matchings:
@@ -254,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matchings", help="list crossingless matchings with gradings")
     p.add_argument("--n", type=int, required=True, help="number of chords")
-    p.add_argument("--max-n", type=int, default=8, help="largest allowed n")
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.set_defaults(fn=cmd_matchings)
 

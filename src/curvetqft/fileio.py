@@ -78,10 +78,10 @@ def _field(data: dict, key: str, what: str) -> Any:
 
 
 def _int(raw: Any, what: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise FormatError(f"{what} must be an integer, got {raw!r:.60}") from None
+    """raw itself when it is a JSON integer; a float, string or bool is not."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise FormatError(f"{what} must be an integer, got {raw!r:.60}")
+    return raw
 
 
 def _int_pair(raw: Any, what: str) -> tuple[int, int]:
@@ -152,7 +152,7 @@ def dividing_set_to_dict(surface: MarkedSurface, k: DividingSet) -> dict:
 
 def _slot_ref(raw: Any) -> tuple[int, int]:
     if isinstance(raw, int):
-        return 0, raw
+        return 0, _int(raw, "slot")
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         return _int(raw[0], "slot piece"), _int(raw[1], "slot")
     raise FormatError(f"slot reference must be an int or [piece, slot]: {raw!r}")

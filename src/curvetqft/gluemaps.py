@@ -136,13 +136,7 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
             starts[arc.start] = side
             ends[arc.end] = side
         for i, tok in enumerate(word):
-            if i in starts and i in ends:
-                # start == end: the whole circle minus part of this token
-                new_word.append((PLAIN, tok[1]))
-                token_map[(p, i)] = (p, len(new_word) - 1)
-                seam_pos[starts[i]] = (p, len(new_word))
-                new_word.append((IDENT, seam_pair))
-            elif i in starts:
+            if i in starts:
                 new_word.append((PLAIN, tok[1]))
                 token_map[(p, i)] = (p, len(new_word) - 1)
                 seam_pos[starts[i]] = (p, len(new_word))
@@ -209,15 +203,12 @@ class GlueResult:
         return self.images[idx]
 
 
-def glue_map(datum_or_info, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult:
+def glue_map(info: GlueInfo, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult:
     """The linear map on classes induced by gluing the two arcs.
 
     Every source relation row must map to zero in the target; a failure
     is raised as an inconsistency rather than repaired.
     """
-    info = datum_or_info
-    if isinstance(datum_or_info, GluingDatum):
-        info = glue_surfaces(datum_or_info)
     if m_src.surface != info.source:
         raise GluingError("source module was built on a different surface")
     if m_tgt.surface != info.target:
@@ -412,3 +403,28 @@ def attach_arc_map(n: int, position: int, bound: int = 2):
     m_src = build_module(datum.source, 0)
     m_tgt = build_module(info.target, max(bound, 2))
     return glue_map(info, m_src, m_tgt), m_src, m_tgt
+
+
+# The three matchings of disk(6) of grading 0, in the order of the
+# attachment tables.
+_MIDDLE_MATCHINGS = (
+    ((0, 3), (1, 2), (4, 5)),
+    ((0, 5), (1, 4), (2, 3)),
+    ((0, 1), (2, 5), (3, 4)),
+)
+
+
+def attachment_table(bound: int = 2) -> tuple[tuple[ClassVector, ...], ...]:
+    """Images of the middle matchings of disk(6) under the arc attachments.
+
+    Row j is attach_arc_map(3, j, bound); column c is the image of
+    _MIDDLE_MATCHINGS[c] beside the small disk's chord.
+    """
+    table = []
+    for j in range(3):
+        result, m_src, _ = attach_arc_map(3, j, bound)
+        table.append(tuple(
+            result.image_of(m_src, make_dividing_set((), [chords, [(0, 1)]]))
+            for chords in _MIDDLE_MATCHINGS
+        ))
+    return tuple(table)

@@ -296,26 +296,15 @@ def mod2_consistency(problem: LiftProblem, bound: int = 2) -> ConsistencyReport:
     with the problem's incidence pattern.  A mismatch raises, since it
     means the lift problem encodes the wrong maps.
     """
-    from .gluemaps import attach_arc_map
-    from .surfaces import make_dividing_set
+    from .gluemaps import attachment_table
 
-    unknown_chords = (
-        ((0, 3), (1, 2), (4, 5)),
-        ((0, 5), (1, 4), (2, 3)),
-        ((0, 1), (2, 5), (3, 4)),
+    computed = tuple(
+        tuple(0 if v.is_zero else 1 for v in row) for row in attachment_table(bound)
     )
-    computed = []
-    for j in range(3):
-        result, m_src, _ = attach_arc_map(3, j, bound)
-        row = []
-        for chords in unknown_chords:
-            union = make_dividing_set((), [chords, [(0, 1)]])
-            row.append(0 if result.image_of(m_src, union).is_zero else 1)
-        computed.append(tuple(row))
-    report = ConsistencyReport(tuple(computed), problem.pattern)
+    report = ConsistencyReport(computed, problem.pattern)
     if not report.matches:
         raise LiftError(
             f"incidence pattern {problem.pattern} does not match the "
-            f"computed maps {tuple(computed)}"
+            f"computed maps {computed}"
         )
     return report

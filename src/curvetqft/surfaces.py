@@ -497,13 +497,13 @@ class PieceFaces:
     face_of_interval: tuple[int, ...]
     chord_sides: dict
 
-    def faces_of_chord(self, chord: Chord) -> tuple[int, int]:
-        return self.chord_sides[chord]
-
 
 def piece_faces(num_slots: int, chords: tuple[Chord, ...]) -> PieceFaces:
-    if not is_noncrossing(num_slots, chords):
-        raise DividingSetError("chord pairing is not a non-crossing perfect matching")
+    """Faces of a piece whose chords are a non-crossing perfect matching.
+
+    The matching is not checked here: callers pass chords of a dividing
+    set that validate_dividing_set accepted.
+    """
     partner = {}
     for a, b in chords:
         partner[a] = b
@@ -562,12 +562,6 @@ class Region:
     sign: int
     euler: int
     touches_boundary: bool
-    faces: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class RegionData:
-    regions: tuple[Region, ...]
 
 
 def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
@@ -590,108 +584,87 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
     return layout
 
 
-def analyze_regions(surface: MarkedSurface, k: DividingSet) -> RegionData:
-    """Region decomposition with signs and Euler characteristics.
+def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...] | None:
+    """Regions with signs and Euler characteristics, or None if uncolorable.
 
-    Faces of the pieces are glued along the gaps of identified segments;
-    signs flip across chords, persist across gaps, and must extend the
-    plain-segment labels.  With all cells of the cut-open surface open,
-    only faces and glued gaps contribute to a region's Euler
-    characteristic, so chi(region) = #faces - #glued gaps.
+    Faces of the pieces are glued along the gaps of identified segments
+    into regions; signs flip across chords, persist across gaps, and must
+    extend the plain-segment labels.  With all cells of the cut-open
+    surface open, only faces and glued gaps contribute to a region's Euler
+    characteristic, so chi(region) = #faces - #glued gaps.  Raises
+    DividingSetError when k is malformed.
     """
     layout = validate_dividing_set(surface, k)
-    faces = tuple(
-        piece_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)
-    )
-
-    face_ids: dict[tuple[int, int], int] = {}
-    for p in range(surface.num_pieces):
-        for f in range(faces[p].num_faces):
-            face_ids[(p, f)] = len(face_ids)
-    uf = _ParityUnionFind(len(face_ids))
+    faces = [piece_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)]
+    offsets = list(itertools.accumulate((f.num_faces for f in faces), initial=0))
+    num_faces = offsets[-1]
+    uf = _ParityUnionFind(num_faces)
 
     def face_at(piece: int, interval: int) -> int:
         if interval == -1:
-            return face_ids[(piece, 0)]
-        return face_ids[(piece, faces[piece].face_of_interval[interval])]
+            return offsets[piece]
+        return offsets[piece] + faces[piece].face_of_interval[interval]
 
-    consistent = True
-    for p in range(surface.num_pieces):
-        for chord, (inner, outer) in faces[p].chord_sides.items():
-            consistent &= uf.union(face_ids[(p, inner)], face_ids[(p, outer)], 1)
-
-    gap_edges = []
+    # Gap edges alone join faces into regions.  euler[f] is 1 for face f
+    # less the gaps charged to it.
+    euler = [1] * num_faces
     for pair in range(surface.num_pairs):
         r = k.crossings[pair]
         for gap in range(r + 1):
-            pa, ia = layout.segment_gap_interval(pair, 0, gap)
-            pb, ib = layout.segment_gap_interval(pair, 1, r - gap)
-            fa, fb = face_at(pa, ia), face_at(pb, ib)
-            gap_edges.append((fa, fb))
-            consistent &= uf.union(fa, fb, 0)
-    if not consistent:
-        raise ColoringError("no consistent 2-coloring of the complement exists")
+            fa = face_at(*layout.segment_gap_interval(pair, 0, gap))
+            fb = face_at(*layout.segment_gap_interval(pair, 1, r - gap))
+            euler[fa] -= 1
+            uf.union(fa, fb, 0)
+    region_of = [uf.relation(f)[0] for f in range(num_faces)]
+
+    for p in range(surface.num_pieces):
+        for inner, outer in faces[p].chord_sides.values():
+            if not uf.union(offsets[p] + inner, offsets[p] + outer, 1):
+                return None
 
     # Anchor colors with the plain-segment labels.
     anchor: dict[int, int] = {}
-    plain_faces: set[int] = set()
+    touches: set[int] = set()
     for p, word in enumerate(surface.words):
         for i, tok in enumerate(word):
             if tok[0] != PLAIN:
                 continue
-            interval = layout.interval_for_word_position(p, i, -0.5)
-            fid = face_at(p, interval)
-            plain_faces.add(fid)
+            fid = face_at(p, layout.interval_for_word_position(p, i, -0.5))
+            touches.add(region_of[fid])
             root, par = uf.relation(fid)
             sign = tok[1] if par == 0 else -tok[1]
-            if root in anchor and anchor[root] != sign:
-                raise ColoringError("boundary labels force conflicting colors")
-            anchor[root] = sign
+            if anchor.setdefault(root, sign) != sign:
+                return None
 
-    # Group faces into regions along gap edges only.
-    region_uf = _ParityUnionFind(len(face_ids))
-    for fa, fb in gap_edges:
-        region_uf.union(fa, fb, 0)
-    members: dict[int, list[int]] = {}
-    for fid in range(len(face_ids)):
-        root, _ = region_uf.relation(fid)
-        members.setdefault(root, []).append(fid)
-    gap_count: dict[int, int] = {}
-    for fa, _ in gap_edges:
-        root, _ = region_uf.relation(fa)
-        gap_count[root] = gap_count.get(root, 0) + 1
-
-    id_to_face = {v: kk for kk, v in face_ids.items()}
+    chi: dict[int, int] = {}
+    for fid, region in enumerate(region_of):
+        chi[region] = chi.get(region, 0) + euler[fid]
     regions = []
-    for root in sorted(members):
-        fids = members[root]
-        color_root, par0 = uf.relation(fids[0])
-        if color_root not in anchor:
-            raise ColoringError("a region is not connected to any labeled boundary")
-        sign = anchor[color_root] if par0 == 0 else -anchor[color_root]
-        euler = len(fids) - gap_count.get(root, 0)
-        touches = any(fid in plain_faces for fid in fids)
-        region = Region(
-            sign=sign,
-            euler=euler,
-            touches_boundary=touches,
-            faces=tuple(sorted(id_to_face[f] for f in fids)),
-        )
-        regions.append(region)
+    for region, e in chi.items():
+        root, par = uf.relation(region)
+        if root not in anchor:
+            return None
+        regions.append(Region(anchor[root] if par == 0 else -anchor[root], e, region in touches))
 
-    total_marks = num_marks(surface)
-    expected = surface.euler_characteristic() + total_marks // 2
-    got = sum(r.euler for r in regions)
+    expected = surface.euler_characteristic() + num_marks(surface) // 2
+    got = sum(chi.values())
     if got != expected:
         raise DividingSetError(
             f"internal Euler bookkeeping failed: regions sum to {got}, expected {expected}"
         )
-    return RegionData(tuple(regions))
+    return tuple(regions)
+
+
+def _colored(value):
+    """value, or ColoringError when region analysis found no coloring (None)."""
+    if value is None:
+        raise ColoringError("no 2-coloring of the complement extends the boundary labels")
+    return value
 
 
 def label_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...]:
     """Connected components of the complement, with signs and Euler numbers."""
-    return analyze_regions(surface, k).regions
+    return _colored(analyze_regions(surface, k))
 
 
 def euler_grading(surface: MarkedSurface, k: DividingSet) -> int:
@@ -700,7 +673,7 @@ def euler_grading(surface: MarkedSurface, k: DividingSet) -> int:
     Contractible closed components carry no position data, so they do not
     contribute; every class with such components is zero anyway.
     """
-    return sum(r.sign * r.euler for r in label_regions(surface, k))
+    return _colored(_grade(surface, k, {}))
 
 
 def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
@@ -711,7 +684,7 @@ def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
 
 
 def is_colorable(surface: MarkedSurface, k: DividingSet) -> bool:
-    return _grade(surface, k, {}) is not None
+    return analyze_regions(surface, k) is not None
 
 
 def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None:
@@ -722,10 +695,8 @@ def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None
     """
     enc = k.encode()
     if enc not in gradings:
-        try:
-            gradings[enc] = euler_grading(surface, k)
-        except ColoringError:
-            gradings[enc] = None
+        regions = analyze_regions(surface, k)
+        gradings[enc] = None if regions is None else sum(r.sign * r.euler for r in regions)
     return gradings[enc]
 
 
@@ -1026,7 +997,7 @@ def bypass_triple(
     for chord in chords:
         if chord not in faces.chord_sides:
             raise BypassError(f"chord {chord} is not part of the dividing set")
-    inner, outer = faces.faces_of_chord(arc.cross_chord)
+    inner, outer = faces.chord_sides[arc.cross_chord]
     if arc.start_side == "inner":
         f0, f1 = inner, outer
     elif arc.start_side == "outer":
@@ -1066,9 +1037,7 @@ def iter_bypass_surgeries(
     """
     if gradings is None:
         gradings = {}
-    base_e = gradings.get(k.encode())
-    if base_e is None:
-        base_e = gradings[k.encode()] = euler_grading(surface, k)
+    base_e = _colored(_grade(surface, k, gradings))
     layout = layout_of(surface, k)
     for p in range(surface.num_pieces):
         faces = piece_faces(layout.num_slots(p), k.chords[p])
@@ -1077,7 +1046,7 @@ def iter_bypass_surgeries(
             adjacency.setdefault(inner, []).append(chord)
             adjacency.setdefault(outer, []).append(chord)
         for cross in k.chords[p]:
-            inner, outer = faces.faces_of_chord(cross)
+            inner, outer = faces.chord_sides[cross]
             for start in adjacency[outer]:
                 for end in adjacency[inner]:
                     if cross in (start, end):

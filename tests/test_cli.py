@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import curvetqft
 from curvetqft import fileio
 from curvetqft import surfaces as sf
 from curvetqft.cli import main, render_matching
@@ -148,6 +150,12 @@ DISK4_K = {
                 "labels": ["-", "+", "-", "+"]},
     "chords": [[0, 1], [2, 3]],
 }
+# An annulus(2, 2) set crossing the seam twice.
+ANNULUS_K2 = {
+    "surface": fileio.surface_to_dict(sf.annulus(2, 2)),
+    "crossings": [2],
+    "chords": [[[0, 0], [0, 5]], [[0, 1], [0, 4]], [[0, 2], [0, 3]], [[0, 6], [0, 7]]],
+}
 
 
 @pytest.mark.parametrize(
@@ -166,6 +174,15 @@ DISK4_K = {
         pytest.param(["class", "--k", "{file}"],
                      json.dumps({**DISK4_K, "crossings": ["x"]}),
                      id="class-crossing-string"),
+        pytest.param(["class", "--k", "{file}"],
+                     json.dumps({**ANNULUS_K2, "crossings": [2.9]}),
+                     id="class-crossing-float"),
+        pytest.param(["class", "--k", "{file}"],
+                     json.dumps({**DISK4_K, "chords": [[[0, 0.7], [0, 1]], [2, 3]]}),
+                     id="class-slot-float"),
+        pytest.param(["class", "--k", "{file}"],
+                     json.dumps({**DISK4_K, "closed": "0"}),
+                     id="class-closed-string"),
         pytest.param(["module", "--surface", "{file}"], '["mark"]',
                      id="module-surface-array"),
         pytest.param(["glue", "--datum", "{file}"],
@@ -290,10 +307,13 @@ def test_module_build_error_is_internal(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # The child imports the package from where this process found it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvetqft.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "curvetqft.cli", "matchings", "--n", "2",
          "--format", "machine"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0-1 2-3", "0-3 1-2"]

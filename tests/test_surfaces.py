@@ -261,6 +261,11 @@ def test_annulus_single_core_circle_with_arcs_colorable():
     side0, (m0, m1), side1, (m2, m3) = annulus_slots(1)
     k_bad = sf.make_dividing_set((1,), [[(m0, m1), (m2, m3), (side0[0], side1[0])]])
     assert not sf.is_colorable(surface, k_bad)
+    assert sf.analyze_regions(surface, k_bad) is None
+    for query in (sf.label_regions, sf.euler_grading, sf.is_isolating,
+                  lambda s, k: list(sf.iter_bypass_surgeries(s, k))):
+        with pytest.raises(sf.ColoringError):
+            query(surface, k_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +368,47 @@ def test_canonical_form_is_a_bigon_free_fixed_point(data):
     assert reduced.closed >= k.closed
 
 
+def test_region_queries_analyze_once(monkeypatch):
+    # The benchmark's tracer counts region analyses through this name.
+    surface = sf.disk(6)
+    k = sf.enumerate_matchings(3)[0]
+    analyze = sf.analyze_regions
+    calls = []
+    monkeypatch.setattr(sf, "analyze_regions", lambda s, k: calls.append(k) or analyze(s, k))
+    for query in (sf.label_regions, sf.euler_grading, sf.is_isolating, sf.is_colorable):
+        calls.clear()
+        query(surface, k)
+        assert len(calls) == 1
+
+
+MALFORMED_ANNULUS_SETS = [
+    (sf.DividingSet((0, 0), ((),), 0), "crossing vector has length 2, expected 1"),
+    (sf.DividingSet((0,), (), 0), "chord data does not cover every piece"),
+    (sf.DividingSet((0,), (((0, 1), (2, 3)),), -1), "negative closed-component count"),
+    (sf.DividingSet((0,), (((0, 2), (1, 3)),), 0), "piece 0: chords are not"),
+]
+
+
 def test_canonicalize_rejects_malformed_sets():
     surface = sf.annulus(2, 2)
-    cases = [
-        (sf.DividingSet((0, 0), ((),), 0), "crossing vector has length 2, expected 1"),
-        (sf.DividingSet((0,), (), 0), "chord data does not cover every piece"),
-        (sf.DividingSet((0,), (((0, 1), (2, 3)),), -1), "negative closed-component count"),
-        (sf.DividingSet((0,), (((0, 2), (1, 3)),), 0), "piece 0: chords are not"),
-    ]
-    for k, message in cases:
+    for k, message in MALFORMED_ANNULUS_SETS:
         with pytest.raises(sf.DividingSetError, match=message):
             sf.canonicalize(surface, k)
+
+
+@pytest.mark.parametrize("query", [
+    sf.euler_grading,
+    sf.is_colorable,
+    lambda s, k: list(sf.iter_bypass_surgeries(s, k)),
+    lambda s, k: sf.bypass_triple(s, k, sf.BypassArc(0, (0, 1), (2, 3), (4, 5))),
+], ids=["euler_grading", "is_colorable", "iter_bypass_surgeries", "bypass_triple"])
+def test_region_queries_reject_malformed_sets(query):
+    # A malformed set is a structural error, never an uncolorable set.
+    surface = sf.annulus(2, 2)
+    for k, message in MALFORMED_ANNULUS_SETS:
+        with pytest.raises(sf.DividingSetError, match=message) as info:
+            query(surface, k)
+        assert not isinstance(info.value, sf.ColoringError)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +512,7 @@ def _arcs_from_side(surface, k, side):
             for face in sides:
                 adjacent.setdefault(face, []).append(chord)
         for cross in k.chords[p]:
-            inner, outer = faces.faces_of_chord(cross)
+            inner, outer = faces.chord_sides[cross]
             f0, f1 = (inner, outer) if side == "inner" else (outer, inner)
             for start in adjacent[f0]:
                 for end in adjacent[f1]:
