@@ -394,14 +394,14 @@ def attach_arc_datum(n: int, position: int) -> GluingDatum:
     return GluingDatum(source, gamma, gamma_prime)
 
 
-def attach_arc_map(n: int, position: int, bound: int = 2):
-    """(glue result, source module, target module) for one arc attachment."""
+def attach_arc_map(n: int, position: int):
+    """(glue result, source module at bound 0, target at bound 2) for one attachment."""
     from .tqftcore import build_module
 
     datum = attach_arc_datum(n, position)
     info = glue_surfaces(datum)
     m_src = build_module(datum.source, 0)
-    m_tgt = build_module(info.target, max(bound, 2))
+    m_tgt = build_module(info.target, 2)
     return glue_map(info, m_src, m_tgt), m_src, m_tgt
 
 
@@ -414,15 +414,15 @@ _MIDDLE_MATCHINGS = (
 )
 
 
-def attachment_table(bound: int = 2) -> tuple[tuple[ClassVector, ...], ...]:
+def attachment_table() -> tuple[tuple[ClassVector, ...], ...]:
     """Images of the middle matchings of disk(6) under the arc attachments.
 
-    Row j is attach_arc_map(3, j, bound); column c is the image of
+    Row j is attach_arc_map(3, j); column c is the image of
     _MIDDLE_MATCHINGS[c] beside the small disk's chord.
     """
     table = []
     for j in range(3):
-        result, m_src, _ = attach_arc_map(3, j, bound)
+        result, m_src, _ = attach_arc_map(3, j)
         table.append(tuple(
             result.image_of(m_src, make_dividing_set((), [chords, [(0, 1)]]))
             for chords in _MIDDLE_MATCHINGS

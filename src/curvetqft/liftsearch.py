@@ -288,7 +288,7 @@ class ConsistencyReport:
         return self.computed_pattern == self.expected_pattern
 
 
-def mod2_consistency(problem: LiftProblem, bound: int = 2) -> ConsistencyReport:
+def mod2_consistency(problem: LiftProblem) -> ConsistencyReport:
     """Check the problem's pattern against the computed attachment maps.
 
     Builds the three arc-attachment maps on the six-point disk and
@@ -299,7 +299,7 @@ def mod2_consistency(problem: LiftProblem, bound: int = 2) -> ConsistencyReport:
     from .gluemaps import attachment_table
 
     computed = tuple(
-        tuple(0 if v.is_zero else 1 for v in row) for row in attachment_table(bound)
+        tuple(0 if v.is_zero else 1 for v in row) for row in attachment_table()
     )
     report = ConsistencyReport(computed, problem.pattern)
     if not report.matches:

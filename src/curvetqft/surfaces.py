@@ -678,6 +678,7 @@ def euler_grading(surface: MarkedSurface, k: DividingSet) -> int:
 
 def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
     """Whether some complementary region avoids the surface boundary."""
+    validate_dividing_set(surface, k)
     if k.closed > 0:
         return True
     return any(not r.touches_boundary for r in label_regions(surface, k))

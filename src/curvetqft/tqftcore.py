@@ -12,7 +12,7 @@ that the bound is too small or the relation set incomplete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .surfaces import (
@@ -77,6 +77,7 @@ class TqftModule:
     basis_indices: tuple[int, ...]
     expected_rank: int
     warnings: tuple[str, ...]
+    index: dict = field(compare=False, repr=False)  # encoding -> position
 
     @property
     def rank(self) -> int:
@@ -91,20 +92,11 @@ class TqftModule:
 
     def generator_index(self, k: DividingSet) -> int:
         try:
-            return self._index()[k.encode()]
+            return self.index[k.encode()]
         except KeyError:
             raise BoundExceededError(
                 "dividing set is not among the generators at this bound"
             ) from None
-
-    def _index(self) -> dict:
-        if not hasattr(self, "_index_cache"):
-            object.__setattr__(
-                self,
-                "_index_cache",
-                {g.encode(): i for i, g in enumerate(self.generators)},
-            )
-        return getattr(self, "_index_cache")
 
     def reduce(self, vec: int) -> int:
         return gf2.reduce_vector(vec, self.reduced_rows, self.pivots)
@@ -170,9 +162,7 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
                 rows.add(row)
 
     reduced, pivots = gf2.rref(rows)
-    basis_indices = tuple(
-        i for i in range(len(generators)) if i not in set(pivots)
-    )
+    basis_indices = tuple(sorted(set(range(len(generators))).difference(pivots)))
     expected = expected_rank(surface)
     warnings = []
     if len(basis_indices) != expected:
@@ -191,6 +181,7 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
         basis_indices=basis_indices,
         expected_rank=expected,
         warnings=tuple(warnings),
+        index=index,
     )
 
 
@@ -205,7 +196,7 @@ def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
     colorable, and then through the bound check.
     """
     canonical = canonicalize(module.surface, k)
-    idx = module._index().get((canonical.crossings, canonical.chords, 0))
+    idx = module.index.get((canonical.crossings, canonical.chords, 0))
     if idx is not None:
         grading = module.gradings[idx]
     else:

@@ -7,15 +7,19 @@ graded ranks, distinctness of matching classes, the superposition
 relation, the annulus class identities, the vanishing criterion, the
 three attachment-map tables, lift infeasibility, the independent disk
 oracle, and disjoint-union multiplicativity.
+
+Every check takes one argument, build, called as build(surface, bound)
+to obtain a module.  run_suite passes a memo of build_module that lives
+for one run, so a run builds each (surface, bound) once.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import comb
 
-from . import gf2
 from .gluemaps import attachment_table, cut_check
 from .liftsearch import replay_certificate, search_lift, standard_problem
 from .surfaces import (
@@ -43,210 +47,197 @@ class CheckResult:
     seconds: float
 
 
-def _check(name, fn):
+def _check(name):
+    """Turn fn(build) -> (passed, detail) into a timed check named name."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def check(build) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                passed, detail = fn(build)
+            except Exception as exc:  # a crash is a failure, not an abort
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            return CheckResult(name, passed, detail, time.perf_counter() - start)
+
+        return check
+
+    return decorate
+
+
+@_check("catalan-enumeration")
+def check_catalan_counts(build):
+    expected = [1, 2, 5, 14, 42, 132]
     start = time.perf_counter()
-    try:
-        passed, detail = fn()
-    except Exception as exc:  # a crash is a failure, not an abort
-        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(name, passed, detail, time.perf_counter() - start)
+    got = [len(enumerate_matchings(n)) for n in range(1, 7)]
+    elapsed = time.perf_counter() - start
+    ok = got == expected and elapsed < 1.0
+    return ok, f"counts {got} in {elapsed:.3f}s"
 
 
-def check_catalan_counts() -> CheckResult:
-    def run():
-        expected = [1, 2, 5, 14, 42, 132]
-        start = time.perf_counter()
-        got = [len(enumerate_matchings(n)) for n in range(1, 7)]
-        elapsed = time.perf_counter() - start
-        ok = got == expected and elapsed < 1.0
-        return ok, f"counts {got} in {elapsed:.3f}s"
-
-    return _check("catalan-enumeration", run)
-
-
-def check_disk_ranks() -> CheckResult:
-    def run():
-        details = []
-        ok = True
-        start = time.perf_counter()
-        for n in range(1, 7):
-            m = build_module(disk(2 * n), 0)
-            ok &= m.rank == 2 ** (n - 1)
-            details.append(f"n={n}:{m.rank}")
-            ok &= m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
-        elapsed = time.perf_counter() - start
-        ok &= elapsed < 60.0
-        return ok, f"{' '.join(details)} in {elapsed:.1f}s"
-
-    return _check("disk-ranks", run)
+@_check("disk-ranks")
+def check_disk_ranks(build):
+    details = []
+    ok = True
+    start = time.perf_counter()
+    for n in range(1, 7):
+        m = build(disk(2 * n), 0)
+        ok &= m.rank == 2 ** (n - 1)
+        details.append(f"n={n}:{m.rank}")
+        ok &= m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
+    elapsed = time.perf_counter() - start
+    ok &= elapsed < 60.0
+    return ok, f"{' '.join(details)} in {elapsed:.1f}s"
 
 
-def check_distinctness() -> CheckResult:
-    def run():
-        ok = True
-        details = []
-        for n in range(1, 7):
-            m = build_module(disk(2 * n), 0)
-            report = distinct_classes(m, list(m.generators))
-            ok &= report.all_nonzero and report.all_distinct
-            details.append(f"n={n}:{len(m.generators)}")
-        return ok, "all matching classes nonzero and distinct " + " ".join(details)
-
-    return _check("matching-distinctness", run)
+@_check("matching-distinctness")
+def check_distinctness(build):
+    ok = True
+    details = []
+    for n in range(1, 7):
+        m = build(disk(2 * n), 0)
+        report = distinct_classes(m, list(m.generators))
+        ok &= report.all_nonzero and report.all_distinct
+        details.append(f"n={n}:{len(m.generators)}")
+    return ok, "all matching classes nonzero and distinct " + " ".join(details)
 
 
-def check_superposition() -> CheckResult:
-    def run():
-        m = build_module(disk(6), 0)
-        k1 = make_dividing_set((), [[(0, 3), (1, 2), (4, 5)]])
-        k2 = make_dividing_set((), [[(0, 5), (1, 4), (2, 3)]])
-        k3 = make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
-        v1, v2, v3 = (class_of(m, k) for k in (k1, k2, k3))
-        ok = (v1.coords ^ v2.coords ^ v3.coords) == 0
-        ok &= all(not v.is_zero for v in (v1, v2, v3))
-        ok &= len({v1.coords, v2.coords, v3.coords}) == 3
-        return ok, "middle classes are nonzero, distinct, and sum to zero"
-
-    return _check("superposition", run)
+@_check("superposition")
+def check_superposition(build):
+    m = build(disk(6), 0)
+    k1 = make_dividing_set((), [[(0, 3), (1, 2), (4, 5)]])
+    k2 = make_dividing_set((), [[(0, 5), (1, 4), (2, 3)]])
+    k3 = make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
+    v1, v2, v3 = (class_of(m, k) for k in (k1, k2, k3))
+    ok = (v1.coords ^ v2.coords ^ v3.coords) == 0
+    ok &= all(not v.is_zero for v in (v1, v2, v3))
+    ok &= len({v1.coords, v2.coords, v3.coords}) == 3
+    return ok, "middle classes are nonzero, distinct, and sum to zero"
 
 
-def check_annulus() -> CheckResult:
-    def run():
-        start = time.perf_counter()
-        surface = annulus(2, 2)
-        m = build_module(surface, ANNULUS_BOUND)
-        ok = m.rank == 4 and m.graded_ranks() == {2: 1, 0: 2, -2: 1}
-        cross = make_dividing_set((0,), [[(0, 3), (1, 2)]])
-        twisted = make_dividing_set((2,), [[(0, 3), (1, 2), (4, 7), (5, 6)]])
-        lens_circle_a = make_dividing_set((2,), [[(2, 3), (1, 4), (0, 7), (5, 6)]])
-        lens_circle_b = make_dividing_set((2,), [[(0, 5), (1, 2), (3, 4), (6, 7)]])
-        va = class_of(m, lens_circle_a)
-        vb = class_of(m, lens_circle_b)
-        v0 = class_of(m, cross)
-        v1 = class_of(m, twisted)
-        ok &= va.coords == vb.coords and not va.is_zero
-        ok &= va.coords == (v0.coords ^ v1.coords)
-        ranks = [build_module(surface, b).rank for b in (2, 3, 4)]
-        ok &= ranks == [4, 4, 4]
-        elapsed = time.perf_counter() - start
-        ok &= elapsed < 60.0
-        return ok, f"rank stable {ranks}, class identities hold, {elapsed:.1f}s"
-
-    return _check("annulus", run)
+@_check("annulus")
+def check_annulus(build):
+    start = time.perf_counter()
+    surface = annulus(2, 2)
+    m = build(surface, ANNULUS_BOUND)
+    ok = m.rank == 4 and m.graded_ranks() == {2: 1, 0: 2, -2: 1}
+    cross = make_dividing_set((0,), [[(0, 3), (1, 2)]])
+    twisted = make_dividing_set((2,), [[(0, 3), (1, 2), (4, 7), (5, 6)]])
+    lens_circle_a = make_dividing_set((2,), [[(2, 3), (1, 4), (0, 7), (5, 6)]])
+    lens_circle_b = make_dividing_set((2,), [[(0, 5), (1, 2), (3, 4), (6, 7)]])
+    va = class_of(m, lens_circle_a)
+    vb = class_of(m, lens_circle_b)
+    v0 = class_of(m, cross)
+    v1 = class_of(m, twisted)
+    ok &= va.coords == vb.coords and not va.is_zero
+    ok &= va.coords == (v0.coords ^ v1.coords)
+    ranks = [build(surface, b).rank for b in (2, 3, 4)]
+    ok &= ranks == [4, 4, 4]
+    elapsed = time.perf_counter() - start
+    ok &= elapsed < 60.0
+    return ok, f"rank stable {ranks}, class identities hold, {elapsed:.1f}s"
 
 
-def check_vanishing() -> CheckResult:
-    def run():
-        start = time.perf_counter()
-        cases = [
-            (disk(2), 0), (disk(4), 0), (disk(6), 0), (disk(8), 0),
-            (annulus(2, 2), ANNULUS_BOUND),
-            (punctured_torus(2), TORUS_BOUND),
-        ]
-        ok = True
-        total = isolating = 0
-        for surface, bound in cases:
-            m = build_module(surface, bound)
-            for g in m.generators:
-                zero = class_of(m, g).is_zero
-                iso = is_isolating(surface, g)
-                ok &= zero == iso
-                total += 1
-                isolating += iso
-        # A contractible closed component always kills the class.
-        m = build_module(disk(4), 0)
-        circled = make_dividing_set((), [[(0, 1), (2, 3)]], closed=1)
-        ok &= class_of(m, circled).is_zero and is_isolating(disk(4), circled)
-        elapsed = time.perf_counter() - start
-        ok &= elapsed < 300.0
-        return ok, (
-            f"zero iff isolating over {total} dividing sets "
-            f"({isolating} isolating) in {elapsed:.1f}s"
-        )
-
-    return _check("vanishing-criterion", run)
+@_check("vanishing-criterion")
+def check_vanishing(build):
+    start = time.perf_counter()
+    cases = [
+        (disk(2), 0), (disk(4), 0), (disk(6), 0), (disk(8), 0),
+        (annulus(2, 2), ANNULUS_BOUND),
+        (punctured_torus(2), TORUS_BOUND),
+    ]
+    ok = True
+    total = isolating = 0
+    for surface, bound in cases:
+        m = build(surface, bound)
+        for g in m.generators:
+            zero = class_of(m, g).is_zero
+            iso = is_isolating(surface, g)
+            ok &= zero == iso
+            total += 1
+            isolating += iso
+    # A contractible closed component always kills the class.
+    m = build(disk(4), 0)
+    circled = make_dividing_set((), [[(0, 1), (2, 3)]], closed=1)
+    ok &= class_of(m, circled).is_zero and is_isolating(disk(4), circled)
+    elapsed = time.perf_counter() - start
+    ok &= elapsed < 300.0
+    return ok, (
+        f"zero iff isolating over {total} dividing sets "
+        f"({isolating} isolating) in {elapsed:.1f}s"
+    )
 
 
-def check_gluing_tables() -> CheckResult:
-    def run():
-        expected = [
-            ["K+", "K+", "0"],
-            ["0", "K-", "K-"],
-            ["K+", "0", "K+"],
-        ]
-        got = [
-            ["0" if v.is_zero else ("K+" if v.grading == 1 else "K-") for v in row]
-            for row in attachment_table()
-        ]
-        return got == expected, f"attachment tables {got}"
-
-    return _check("gluing-tables", run)
+@_check("gluing-tables")
+def check_gluing_tables(build):
+    expected = [
+        ["K+", "K+", "0"],
+        ["0", "K-", "K-"],
+        ["K+", "0", "K+"],
+    ]
+    got = [
+        ["0" if v.is_zero else ("K+" if v.grading == 1 else "K-") for v in row]
+        for row in attachment_table()
+    ]
+    return got == expected, f"attachment tables {got}"
 
 
-def check_lift() -> CheckResult:
-    def run():
-        start = time.perf_counter()
-        ok = True
-        for box in (4, 8):
-            result = search_lift(standard_problem(search_box=box))
-            ok &= not result.feasible
-            ok &= replay_certificate(result.certificate)
-            if box == 4:
-                steps = result.certificate.get("steps", [])
-                ok &= bool(steps) and steps[-1]["derived"] == 2 \
-                    and steps[-1]["required"] == 0
-        relaxed = search_lift(standard_problem(allow_signs=True))
-        ok &= relaxed.feasible
-        elapsed = time.perf_counter() - start
-        ok &= elapsed < 10.0
-        return ok, f"infeasible at boxes 4 and 8, feasible with signs, {elapsed:.1f}s"
-
-    return _check("lift-infeasibility", run)
+@_check("lift-infeasibility")
+def check_lift(build):
+    start = time.perf_counter()
+    ok = True
+    for box in (4, 8):
+        result = search_lift(standard_problem(search_box=box))
+        ok &= not result.feasible
+        ok &= replay_certificate(result.certificate)
+        if box == 4:
+            steps = result.certificate.get("steps", [])
+            ok &= bool(steps) and steps[-1]["derived"] == 2 \
+                and steps[-1]["required"] == 0
+    relaxed = search_lift(standard_problem(allow_signs=True))
+    ok &= relaxed.feasible
+    elapsed = time.perf_counter() - start
+    ok &= elapsed < 10.0
+    return ok, f"infeasible at boxes 4 and 8, feasible with signs, {elapsed:.1f}s"
 
 
-def check_disk_oracle() -> CheckResult:
-    def run():
-        ok = True
-        for n in range(2, 5):
-            m = build_module(disk(2 * n), 0)
-            oracle = disk_bruteforce_module(n)
-            ok &= oracle.rank == m.rank
-            ms = enumerate_matchings(n)
-            vecs = [class_of(m, k).coords for k in ms]
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    ok &= (vecs[i] == vecs[j]) == (
-                        oracle.class_bits[i] == oracle.class_bits[j]
-                    )
-        return ok, "sub-disk relation oracle agrees for n = 2, 3, 4"
-
-    return _check("disk-oracle", run)
+@_check("disk-oracle")
+def check_disk_oracle(build):
+    ok = True
+    for n in range(2, 5):
+        m = build(disk(2 * n), 0)
+        oracle = disk_bruteforce_module(n)
+        ok &= oracle.rank == m.rank
+        ms = enumerate_matchings(n)
+        vecs = [class_of(m, k).coords for k in ms]
+        for i in range(len(ms)):
+            for j in range(i + 1, len(ms)):
+                ok &= (vecs[i] == vecs[j]) == (
+                    oracle.class_bits[i] == oracle.class_bits[j]
+                )
+    return ok, "sub-disk relation oracle agrees for n = 2, 3, 4"
 
 
-def check_multiplicativity() -> CheckResult:
-    def run():
-        m1 = build_module(disjoint_union(disk(4), disk(4)), 0)
-        m2 = build_module(disjoint_union(disk(2), annulus(2, 2)), ANNULUS_BOUND)
-        ok = m1.rank == 4 and m2.rank == 4
-        return ok, f"disk2|disk2 rank {m1.rank} = 4, disk1|annulus rank {m2.rank} = 4"
-
-    return _check("multiplicativity", run)
+@_check("multiplicativity")
+def check_multiplicativity(build):
+    m1 = build(disjoint_union(disk(4), disk(4)), 0)
+    m2 = build(disjoint_union(disk(2), annulus(2, 2)), ANNULUS_BOUND)
+    ok = m1.rank == 4 and m2.rank == 4
+    return ok, f"disk2|disk2 rank {m1.rank} = 4, disk1|annulus rank {m2.rank} = 4"
 
 
-def check_cutting() -> CheckResult:
-    def run():
-        ok = True
-        r1 = cut_check(annulus(2, 2, (1, -1)), 0, 2)
-        ok &= r1.passed
-        r2 = cut_check(punctured_torus(2), 0, 2)
-        r3 = cut_check(punctured_torus(2), 1, 2)
-        ok &= r2.passed and r3.passed
-        return ok, (
-            f"annulus {r1.rank_cut}={r1.rank_original}, torus arcs "
-            f"{r2.rank_cut}={r2.rank_original}, {r3.rank_cut}={r3.rank_original}"
-        )
-
-    return _check("cutting-isomorphism", run)
+@_check("cutting-isomorphism")
+def check_cutting(build):
+    ok = True
+    r1 = cut_check(annulus(2, 2, (1, -1)), 0, 2)
+    ok &= r1.passed
+    r2 = cut_check(punctured_torus(2), 0, 2)
+    r3 = cut_check(punctured_torus(2), 1, 2)
+    ok &= r2.passed and r3.passed
+    return ok, (
+        f"annulus {r1.rank_cut}={r1.rank_original}, torus arcs "
+        f"{r2.rank_cut}={r2.rank_original}, {r3.rank_cut}={r3.rank_original}"
+    )
 
 
 SUITES = {
@@ -270,4 +261,7 @@ SUITES["all"] = (
 def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [fn() for fn in SUITES[name]]
+    # Looked up at call time, so a rebound build_module sees every build;
+    # the memo is dropped when the run returns.
+    build = functools.cache(build_module)
+    return [check(build) for check in SUITES[name]]

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from curvetqft import verify
+from curvetqft import build_module, verify
 
 
 def _run(check, label):
-    result = check()
+    result = check(build_module)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {label}: {result.detail} ({result.seconds:.1f}s)")
     assert result.passed, f"{label}: {result.detail}"
@@ -25,7 +25,8 @@ def test_criterion_01_catalan_enumeration():
 
 
 def test_criterion_02_disk_ranks():
-    # rank 2**(n-1) for n = 1..6, graded ranks (1, 2, 1) at n = 3, under 60 s.
+    # rank 2**(n-1) and graded ranks binom(n-1, j) at grading n-1-2j for
+    # n = 1..6, under 60 s.
     _run(verify.check_disk_ranks, "criterion 2 disk-ranks")
 
 

@@ -137,6 +137,19 @@ def test_verify_lift_suite(capsys):
     assert "PASS lift-infeasibility" in out
 
 
+def test_verify_all_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "PASS catalan-enumeration", "PASS disk-ranks", "PASS matching-distinctness",
+        "PASS superposition", "PASS gluing-tables", "PASS disk-oracle",
+        "PASS annulus", "PASS multiplicativity", "PASS cutting-isomorphism",
+        "PASS vanishing-criterion", "PASS lift-infeasibility",
+    ]
+    assert lines[-1] == "11/11 checks passed"
+
+
 def test_bad_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -386,6 +386,9 @@ MALFORMED_ANNULUS_SETS = [
     (sf.DividingSet((0,), (), 0), "chord data does not cover every piece"),
     (sf.DividingSet((0,), (((0, 1), (2, 3)),), -1), "negative closed-component count"),
     (sf.DividingSet((0,), (((0, 2), (1, 3)),), 0), "piece 0: chords are not"),
+    # A contractible circle does not make a malformed set well formed.
+    (sf.DividingSet((0, 0), ((),), 1), "crossing vector has length 2, expected 1"),
+    (sf.DividingSet((0,), (((0, 2), (1, 3)),), 1), "piece 0: chords are not"),
 ]
 
 
@@ -399,9 +402,11 @@ def test_canonicalize_rejects_malformed_sets():
 @pytest.mark.parametrize("query", [
     sf.euler_grading,
     sf.is_colorable,
+    sf.is_isolating,
     lambda s, k: list(sf.iter_bypass_surgeries(s, k)),
     lambda s, k: sf.bypass_triple(s, k, sf.BypassArc(0, (0, 1), (2, 3), (4, 5))),
-], ids=["euler_grading", "is_colorable", "iter_bypass_surgeries", "bypass_triple"])
+], ids=["euler_grading", "is_colorable", "is_isolating", "iter_bypass_surgeries",
+        "bypass_triple"])
 def test_region_queries_reject_malformed_sets(query):
     # A malformed set is a structural error, never an uncolorable set.
     surface = sf.annulus(2, 2)
