@@ -10,6 +10,10 @@ random, possibly uncolorable dividing sets, recorded before the reduction
 worked on fixed slot keys.  The region digest locks colorability,
 grading, isolation and the region multiset of such sets, recorded before
 region analysis ran as one union-find pass.
+
+The surface topology digest locks arc attachments, cuts, reglued targets
+and surface validation, recorded before validation, cutting and gluing
+shared one boundary walk and one word rewrite.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import pytest
 
 from curvetqft import surfaces as sf
 from curvetqft.cli import main
-from curvetqft.gluemaps import attach_arc_datum, glue_surfaces
+from curvetqft.gluemaps import GluingError, attach_arc_datum, cut_surface, glue_surfaces
+from curvetqft.tqftcore import expected_rank
 
 DIGESTS = {
     ("--disk", "2", "--bound", "0"):
@@ -136,3 +141,49 @@ def test_region_digest():
             for s in (k, sf.canonicalize(surface, k)):
                 digest.update(repr(_region_summary(surface, s)).encode())
     assert digest.hexdigest() == REGION_DIGEST
+
+
+TOPOLOGY_PRESETS = [
+    sf.annulus(2, 2, corners) for corners in
+    ((sf.NEG, sf.NEG), (sf.NEG, sf.POS), (sf.POS, sf.NEG), (sf.POS, sf.POS))
+] + [sf.punctured_torus(m) for m in (2, 4, 6)] + [
+    sf.disjoint_union(sf.disk(4), sf.annulus(2, 2)),
+    sf.disjoint_union(sf.annulus(2, 2, (sf.POS, sf.NEG)), sf.punctured_torus(2)),
+]
+TOPOLOGY_DIGEST = "61c0b868485deecc6b14bb2e01a4a2a8e2140e22e71232d46b8903dd55232bd7"
+
+
+def _glue_record(info):
+    return (info.target, info.seam_pair, info.seam_marks,
+            sorted(info.mark_map.items()), sorted(info.token_map.items()))
+
+
+def test_surface_topology_digest():
+    # Locks every arc attachment, every cut of the presets and of the
+    # attachment targets with its reglued target, and the validation
+    # fields and expected rank of every surface met on the way.
+    digest = hashlib.sha256()
+    seen = []
+    targets = []
+    for n in range(2, 6):
+        for j in range(2 * n):
+            info = glue_surfaces(attach_arc_datum(n, j))
+            digest.update(repr(_glue_record(info)).encode())
+            targets.append(info.target)
+    seen += targets
+    for surface in TOPOLOGY_PRESETS + targets:
+        seen.append(surface)
+        for pair_id in range(surface.num_pairs):
+            try:
+                cut = cut_surface(surface, pair_id)
+            except GluingError as exc:
+                digest.update(repr(("error", pair_id, str(exc))).encode())
+                continue
+            reglued = glue_surfaces(cut.reglue).target
+            digest.update(repr((pair_id, cut.cut_surface, cut.reglue, reglued)).encode())
+            seen += [cut.cut_surface, reglued]
+    for surface in seen:
+        info = sf.validate_surface(surface)
+        digest.update(repr((info.euler, info.marks_per_circle, info.components,
+                            expected_rank(surface))).encode())
+    assert digest.hexdigest() == TOPOLOGY_DIGEST
