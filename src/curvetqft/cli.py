@@ -94,7 +94,7 @@ def _surface_from_args(args) -> "MarkedSurface":
         args.disk is not None,
         args.annulus is not None,
         args.punctured_torus is not None,
-        getattr(args, "surface", None) is not None,
+        args.surface is not None,
     ]
     if sum(chosen) != 1:
         raise SurfaceError(
@@ -109,16 +109,15 @@ def _surface_from_args(args) -> "MarkedSurface":
     return fileio.surface_from_dict(fileio.surface_part(fileio.load_json(args.surface)))
 
 
-def _add_surface_flags(parser, with_file=True):
+def _add_surface_flags(parser):
     parser.add_argument("--disk", type=int, metavar="MARKS",
                         help="disk with the given number of marked points")
     parser.add_argument("--annulus", type=int, nargs=2, metavar=("A", "B"),
                         help="annulus with A and B marked points per circle")
     parser.add_argument("--punctured-torus", type=int, metavar="MARKS",
                         help="once-punctured torus with the given marks")
-    if with_file:
-        parser.add_argument("--surface", metavar="FILE",
-                            help="surface (or dividing-set) JSON file")
+    parser.add_argument("--surface", metavar="FILE",
+                        help="surface (or dividing-set) JSON file")
 
 
 def cmd_matchings(args) -> int:

@@ -94,6 +94,25 @@ def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[int]:
     return interior
 
 
+def _rewrite(surface: MarkedSurface, replace) -> tuple[tuple, dict]:
+    """New words with each token replaced by replace(position, token).
+
+    token_map sends the position of every token with a non-empty
+    replacement to the position of the first token that replaces it.
+    """
+    words = []
+    token_map: dict = {}
+    for p, word in enumerate(surface.words):
+        new_word: list = []
+        for i, tok in enumerate(word):
+            new = replace((p, i), tok)
+            if new:
+                token_map[(p, i)] = (p, len(new_word))
+                new_word += new
+        words.append(tuple(new_word))
+    return tuple(words), token_map
+
+
 def glue_surfaces(datum: GluingDatum) -> GlueInfo:
     """Identify the two arcs of the datum; returns the glued surface.
 
@@ -117,59 +136,34 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
             "they must match"
         )
     seam_pair = surface.num_pairs
-    q = len(marks_g)
+    starts = {(g.piece, g.start), (gp.piece, gp.start)}
+    interior = {(g.piece, i) for i in int_g} | {(gp.piece, i) for i in int_gp}
 
-    token_map: dict = {}
-    new_words = []
-    seam_pos: dict = {}
-    for p, word in enumerate(surface.words):
-        spans = []
-        if p == g.piece:
-            spans.append((g, set(int_g), 0))
-        if p == gp.piece:
-            spans.append((gp, set(int_gp), 1))
-        new_word: list = []
-        skip = set()
-        starts, ends = {}, {}
-        for arc, interior, side in spans:
-            skip |= interior
-            starts[arc.start] = side
-            ends[arc.end] = side
-        for i, tok in enumerate(word):
-            if i in starts:
-                new_word.append((PLAIN, tok[1]))
-                token_map[(p, i)] = (p, len(new_word) - 1)
-                seam_pos[starts[i]] = (p, len(new_word))
-                new_word.append((IDENT, seam_pair))
-            elif i in ends:
-                new_word.append((PLAIN, tok[1]))
-                token_map[(p, i)] = (p, len(new_word) - 1)
-            elif i in skip:
-                continue
-            else:
-                new_word.append(tok)
-                token_map[(p, i)] = (p, len(new_word) - 1)
-        new_words.append(tuple(new_word))
+    def replace(pos, tok):
+        if pos in starts:
+            return [tok, (IDENT, seam_pair)]
+        return [] if pos in interior else [tok]
 
+    words, token_map = _rewrite(surface, replace)
+    seam = tuple((arc.piece, token_map[(arc.piece, arc.start)][1] + 1) for arc in (g, gp))
     pairs = tuple(
         (token_map[pos_a], token_map[pos_b]) for pos_a, pos_b in surface.pairs
-    ) + ((seam_pos[0], seam_pos[1]),)
-    target = MarkedSurface(tuple(new_words), pairs)
+    ) + (seam,)
+    target = MarkedSurface(words, pairs)
     validate_surface(target)
 
+    seam_slots = {
+        ("m", arc.piece, i): ("x", seam_pair, side, j)
+        for side, (arc, marks) in enumerate(((g, marks_g), (gp, marks_gp)))
+        for j, i in enumerate(marks)
+    }
     mark_map: dict = {}
     for p, word in enumerate(surface.words):
         for i, tok in enumerate(word):
-            if tok[0] != MARK:
-                continue
-            key = ("m", p, i)
-            if p == g.piece and i in marks_g:
-                mark_map[key] = ("x", seam_pair, 0, marks_g.index(i))
-            elif p == gp.piece and i in marks_gp:
-                mark_map[key] = ("x", seam_pair, 1, marks_gp.index(i))
-            else:
-                mark_map[key] = ("m", p, token_map[(p, i)][1])
-    return GlueInfo(surface, target, seam_pair, q, mark_map, token_map)
+            if tok[0] == MARK:
+                key = ("m", p, i)
+                mark_map[key] = seam_slots.get(key) or ("m", *token_map[(p, i)])
+    return GlueInfo(surface, target, seam_pair, len(marks_g), mark_map, token_map)
 
 
 def map_dividing_set(info: GlueInfo, k: DividingSet) -> DividingSet:
@@ -236,52 +230,35 @@ def glue_map(info: GlueInfo, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult
 # Cutting
 # ---------------------------------------------------------------------------
 
-def _infer_labels(words, pairs, unknowns):
+def _infer_labels(words, pairs):
     """Fill unknown plain labels (stored as 0) from boundary alternation."""
-    trial = MarkedSurface(tuple(tuple(w) for w in words), pairs)
-    resolved = dict(unknowns)
-    for circle in _trace_boundary(trial):
-        toks = [(pos, trial.token(*pos)) for pos in circle.tokens]
-        mark_positions = [j for j, (_, t) in enumerate(toks) if t[0] == MARK]
-        if not mark_positions:
+    trial = MarkedSurface(words, pairs)
+    resolved = {}
+    for n_marks, plains in _trace_boundary(trial):
+        if not n_marks:
             raise GluingError("a boundary circle has no marked points after cutting")
-        n = len(toks)
-        sector_of = {}
-        first = mark_positions[0]
-        sector = 0
-        for off in range(1, n + 1):
-            j = (first + off) % n
-            pos, t = toks[j]
-            if t[0] == MARK:
-                sector += 1
-            else:
-                sector_of[j] = sector
-        base = None
-        for j, (pos, t) in enumerate(toks):
-            if t[0] != MARK and t[1] != 0:
-                s = sector_of[j]
-                val = t[1] * (-1) ** (s % 2)
-                if base is None:
-                    base = val
-                elif base != val:
-                    raise GluingError(
-                        "cut arc endpoints lie in sectors of equal sign; "
-                        "no single-crossing cut exists here"
-                    )
-        if base is None:
-            raise GluingError("cannot infer labels on an all-new boundary circle")
-        for j, (pos, t) in enumerate(toks):
-            if t[0] != MARK and t[1] == 0:
-                resolved[pos] = base * (-1) ** (sector_of[j] % 2)
-    out = []
-    for p, word in enumerate(words):
-        out.append(
-            tuple(
-                (PLAIN, resolved[(p, i)]) if t == (PLAIN, 0) else t
-                for i, t in enumerate(word)
+        bases = {
+            trial.token(*pos)[1] * (-1) ** sector
+            for pos, sector in plains
+            if trial.token(*pos)[1]
+        }
+        if len(bases) > 1:
+            raise GluingError(
+                "cut arc endpoints lie in sectors of equal sign; "
+                "no single-crossing cut exists here"
             )
+        if not bases:
+            raise GluingError("cannot infer labels on an all-new boundary circle")
+        (base,) = bases
+        for pos, sector in plains:
+            resolved[pos] = base * (-1) ** sector
+    return tuple(
+        tuple(
+            (PLAIN, resolved[(p, i)]) if t == (PLAIN, 0) else t
+            for i, t in enumerate(word)
         )
-    return tuple(out)
+        for p, word in enumerate(words)
+    )
 
 
 @dataclass(frozen=True)
@@ -302,29 +279,21 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
     if not (0 <= pair_id < surface.num_pairs):
         raise GluingError(f"no identification pair {pair_id}")
     cut_positions = set(surface.pairs[pair_id])
-    token_map: dict = {}
-    new_words = []
-    for p, word in enumerate(surface.words):
-        new_word: list = []
-        for i, tok in enumerate(word):
-            if (p, i) in cut_positions:
-                new_word.append((PLAIN, 0))
-                new_word.append((MARK,))
-                new_word.append((PLAIN, 0))
-                token_map[(p, i)] = (p, len(new_word) - 3)
-            else:
-                if tok[0] == IDENT:
-                    k = tok[1]
-                    tok = (IDENT, k - 1 if k > pair_id else k)
-                new_word.append(tok)
-                token_map[(p, i)] = (p, len(new_word) - 1)
-        new_words.append(new_word)
+
+    def replace(pos, tok):
+        if pos in cut_positions:
+            return [(PLAIN, 0), (MARK,), (PLAIN, 0)]
+        if tok[0] == IDENT and tok[1] > pair_id:
+            return [(IDENT, tok[1] - 1)]
+        return [tok]
+
+    new_words, token_map = _rewrite(surface, replace)
     pairs = tuple(
         (token_map[pos_a], token_map[pos_b])
         for j, (pos_a, pos_b) in enumerate(surface.pairs)
         if j != pair_id
     )
-    words = _infer_labels(new_words, pairs, {})
+    words = _infer_labels(new_words, pairs)
     cut = MarkedSurface(words, pairs)
     validate_surface(cut)
     (pa, ia), (pb, ib) = surface.pairs[pair_id]

@@ -211,39 +211,26 @@ def disjoint_union(a: MarkedSurface, b: MarkedSurface) -> MarkedSurface:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundaryCircle:
-    """One boundary circle of the glued surface, as traversed token positions."""
-
-    tokens: tuple[tuple[int, int], ...]
-
-    def num_marks(self, surface: MarkedSurface) -> int:
-        return sum(1 for p, i in self.tokens if surface.token(p, i)[0] == MARK)
-
-
-@dataclass(frozen=True)
 class SurfaceInfo:
     euler: int
-    circles: tuple[BoundaryCircle, ...]
     marks_per_circle: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
 
-def _pair_lookup(surface: MarkedSurface) -> dict[tuple[int, int], tuple[int, int]]:
-    lookup = {}
-    for (pos_a, pos_b) in surface.pairs:
-        lookup[pos_a] = pos_b
-        lookup[pos_b] = pos_a
-    return lookup
+def _trace_boundary(surface: MarkedSurface) -> list[tuple[int, list]]:
+    """Boundary circles of the glued surface as (mark count, plain sectors).
 
-
-def _trace_boundary(surface: MarkedSurface) -> list[BoundaryCircle]:
-    """Boundary circles of the glued surface as token walks.
-
-    When the walk reaches an identification segment it continues after the
-    partner segment, because a segment's start corner is glued to its
-    partner's end corner.
+    Each circle lists its plain tokens as (position, sector), where the
+    sector counts the marks passed since the circle's first mark, from 0.
+    On a well-labelled circle label * (-1)**sector is constant.  When the
+    walk reaches an identification segment it continues after the partner
+    segment, because a segment's start corner is glued to its partner's
+    end corner.
     """
-    partner = _pair_lookup(surface)
+    partner = {}
+    for pos_a, pos_b in surface.pairs:
+        partner[pos_a] = pos_b
+        partner[pos_b] = pos_a
     seen: set[tuple[int, int]] = set()
     circles = []
     for piece, word in enumerate(surface.words):
@@ -255,31 +242,29 @@ def _trace_boundary(surface: MarkedSurface) -> list[BoundaryCircle]:
             while (p, i) not in seen:
                 seen.add((p, i))
                 walk.append((p, i))
-                p2, i2 = p, (i + 1) % len(surface.words[p])
-                while surface.token(p2, i2)[0] == IDENT:
-                    p2, i2 = partner[(p2, i2)]
-                    i2 = (i2 + 1) % len(surface.words[p2])
-                p, i = p2, i2
-            circles.append(BoundaryCircle(tuple(walk)))
+                i = (i + 1) % len(surface.words[p])
+                while surface.token(p, i)[0] == IDENT:
+                    p, i = partner[(p, i)]
+                    i = (i + 1) % len(surface.words[p])
+            first = next((j for j, pos in enumerate(walk) if surface.token(*pos)[0] == MARK), 0)
+            sector = -1
+            plains = []
+            for pos in walk[first:] + walk[:first]:
+                if surface.token(*pos)[0] == MARK:
+                    sector += 1
+                else:
+                    plains.append((pos, sector))
+            circles.append((sector + 1, plains))
     return circles
 
 
 def _surface_components(surface: MarkedSurface) -> list[tuple[int, ...]]:
-    parent = list(range(surface.num_pieces))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _ParityUnionFind(surface.num_pieces)
     for (pa, _), (pb, _) in surface.pairs:
-        ra, rb = find(pa), find(pb)
-        if ra != rb:
-            parent[ra] = rb
+        uf.union(pa, pb, 0)
     groups: dict[int, list[int]] = {}
     for p in range(surface.num_pieces):
-        groups.setdefault(find(p), []).append(p)
+        groups.setdefault(uf.relation(p)[0], []).append(p)
     return [tuple(g) for g in groups.values()]
 
 
@@ -312,31 +297,17 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
         raise SurfaceError("; ".join(errors))
 
     circles = _trace_boundary(surface)
-    marks_per_circle = []
-    for circle in circles:
-        n_marks = circle.num_marks(surface)
+    for n_marks, plains in circles:
         if n_marks % 2 or n_marks < 2:
             errors.append(f"odd or deficient marked-point count {n_marks} on a boundary circle")
-            marks_per_circle.append(n_marks)
             continue
-        marks_per_circle.append(n_marks)
-        # Labels must be constant between consecutive marks and flip at marks.
-        toks = [surface.token(p, i) for p, i in circle.tokens]
-        first_mark = next(j for j, t in enumerate(toks) if t[0] == MARK)
-        expected = None
-        for off in range(1, len(toks) + 1):
-            t = toks[(first_mark + off) % len(toks)]
-            if t[0] == MARK:
-                if expected is None:
-                    errors.append("two adjacent marked points with no segment between")
-                expected = -expected if expected is not None else None
-            else:
-                if expected is None:
-                    expected = t[1]
-                elif t[1] != expected:
-                    errors.append("labels do not alternate across marked points")
+        if len({sector for _, sector in plains}) < n_marks:
+            errors.append("two adjacent marked points with no segment between")
+        if len({surface.token(*pos)[1] * (-1) ** sector for pos, sector in plains}) > 1:
+            errors.append("labels do not alternate across marked points")
 
-    for group in _surface_components(surface):
+    components = _surface_components(surface)
+    for group in components:
         if not any(
             surface.token(p, i)[0] != IDENT
             for p in group
@@ -348,9 +319,8 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
         raise SurfaceError("; ".join(errors))
     return SurfaceInfo(
         euler=surface.euler_characteristic(),
-        circles=tuple(circles),
-        marks_per_circle=tuple(marks_per_circle),
-        components=tuple(_surface_components(surface)),
+        marks_per_circle=tuple(n_marks for n_marks, _ in circles),
+        components=tuple(components),
     )
 
 
@@ -386,19 +356,19 @@ class SlotLayout:
         for k, (pos_a, pos_b) in enumerate(surface.pairs):
             side_of[pos_a] = (k, 0)
             side_of[pos_b] = (k, 1)
-        self._word_pos: list[list[tuple[int, int]]] = []
+        self._word_pos: list[list[int]] = []
         for p, word in enumerate(surface.words):
             piece_slots: list[SlotKey] = []
-            word_pos: list[tuple[int, int]] = []
+            word_pos: list[int] = []
             for i, tok in enumerate(word):
                 if tok[0] == MARK:
                     piece_slots.append(("m", p, i))
-                    word_pos.append((i, 0))
+                    word_pos.append(i)
                 elif tok[0] == IDENT:
                     pair, side = side_of[(p, i)]
                     for pos in range(crossings[pair]):
                         piece_slots.append(("x", pair, side, pos))
-                        word_pos.append((i, pos))
+                        word_pos.append(i)
             self.slots.append(piece_slots)
             self._word_pos.append(word_pos)
             for j, key in enumerate(piece_slots):
@@ -415,17 +385,16 @@ class SlotLayout:
         r = self.crossings[pair]
         return ("x", pair, 1 - side, r - 1 - pos)
 
-    def interval_for_word_position(self, piece: int, word_idx: int, sub: float) -> int:
-        """Interval index (between slot i and i+1) containing a boundary point.
+    def interval_for_word_position(self, piece: int, word_idx: int) -> int:
+        """Interval index (between slot i and i+1) at the start of a token.
 
-        The point is addressed by its token index and a sub-position within
-        the token.  Returns -1 when the piece has no slots at all.  Slot
-        positions are stored in boundary order, so this is a bisection.
+        Returns -1 when the piece has no slots at all.  The token index of
+        every slot is stored in boundary order, so this is a bisection.
         """
         positions = self._word_pos[piece]
         if not positions:
             return -1
-        return (bisect.bisect_left(positions, (word_idx, sub)) - 1) % len(positions)
+        return (bisect.bisect_left(positions, word_idx) - 1) % len(positions)
 
     def segment_gap_interval(self, pair: int, side: int, gap: int) -> tuple[int, int]:
         """(piece, interval) adjacent to the given gap of a segment side.
@@ -436,7 +405,7 @@ class SlotLayout:
         piece, tok_idx = self.surface.pairs[pair][side]
         r = self.crossings[pair]
         if r == 0:
-            return piece, self.interval_for_word_position(piece, tok_idx, -0.5)
+            return piece, self.interval_for_word_position(piece, tok_idx)
         if gap == 0:
             first = self.index[("x", pair, side, 0)][1]
             return piece, (first - 1) % self.num_slots(piece)
@@ -629,7 +598,7 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
         for i, tok in enumerate(word):
             if tok[0] != PLAIN:
                 continue
-            fid = face_at(p, layout.interval_for_word_position(p, i, -0.5))
+            fid = face_at(p, layout.interval_for_word_position(p, i))
             touches.add(region_of[fid])
             root, par = uf.relation(fid)
             sign = tok[1] if par == 0 else -tok[1]
@@ -738,13 +707,7 @@ def enumerate_matchings(n: int) -> list[DividingSet]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    surface = disk(2 * n)
-    out = []
-    for pairing in noncrossing_pairings(2 * n):
-        k = make_dividing_set((), (pairing,))
-        out.append((-euler_grading(surface, k), k.encode(), k))
-    out.sort(key=lambda t: t[:2])
-    return [k for _, _, k in out]
+    return enumerate_dividing_sets(disk(2 * n), 0)
 
 
 def catalan(n: int) -> int:

@@ -23,6 +23,7 @@ from .surfaces import (
     enumerate_matchings,
     euler_grading,
     iter_bypass_surgeries,
+    num_marks,
     validate_surface,
 )
 
@@ -49,15 +50,18 @@ class ClassVector:
 
     coords: int
     grading: int
-    is_zero: bool
     basis_size: int
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coords == 0
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         if self.basis_size != other.basis_size:
             raise ValueError("class vectors from different modules")
         coords = self.coords ^ other.coords
         grading = self.grading if not self.is_zero else other.grading
-        return ClassVector(coords, grading, coords == 0, self.basis_size)
+        return ClassVector(coords, grading, self.basis_size)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -110,18 +114,9 @@ class TqftModule:
 
 
 def expected_rank(surface: MarkedSurface) -> int:
-    """Product over connected components of 2**(n_c - chi_c)."""
-    info = validate_surface(surface)
-    total = 1
-    for group in info.components:
-        gset = set(group)
-        marks = sum(
-            1 for p in group for t in surface.words[p] if t[0] == "mark"
-        )
-        pairs_in = sum(1 for (pa, _), _ in surface.pairs if pa in gset)
-        chi = len(group) - pairs_in
-        total *= 2 ** (marks // 2 - chi)
-    return total
+    """2**(n - chi) over all components at once, since n and chi both add."""
+    validate_surface(surface)
+    return 2 ** (num_marks(surface) // 2 - surface.euler_characteristic())
 
 
 def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModule:
@@ -202,13 +197,13 @@ def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
     else:
         grading = euler_grading(module.surface, canonical)
     if canonical.closed > 0:
-        return ClassVector(0, grading, True, len(module.basis_indices))
+        return ClassVector(0, grading, len(module.basis_indices))
     if idx is None:
         # Bigon-free, colorable and circle-free: only the bound keeps it out.
         raise BoundExceededError("canonical form exceeds the module's crossing bound")
     reduced = module.reduce(1 << idx)
     coords = module.vector_in_basis(reduced)
-    return ClassVector(coords, grading, coords == 0, len(module.basis_indices))
+    return ClassVector(coords, grading, len(module.basis_indices))
 
 
 def graded_rank(module: TqftModule, grading: int) -> int:

@@ -198,6 +198,10 @@ ANNULUS_K2 = {
                      id="class-closed-string"),
         pytest.param(["module", "--surface", "{file}"], '["mark"]',
                      id="module-surface-array"),
+        pytest.param(["module", "--surface", "{file}"],
+                     json.dumps({"pieces": [["mark", "plain", "mark", "mark", "plain", "mark"]],
+                                 "identifications": [], "labels": ["+", "+"]}),
+                     id="module-adjacent-marks"),
         pytest.param(["glue", "--datum", "{file}"],
                      json.dumps({"surface": DISK4_K["surface"], "gamma": [2, 1, 3],
                                  "gamma_prime": [0, 5, 7]}),

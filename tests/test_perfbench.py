@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark's traced mode.
+
+The tracer and the stage replay reach into the engine by name:
+analyze_regions, canonicalize, class_of, build_module, glue_map,
+search_lift, replay_certificate, SlotLayout.interval_for_word_position,
+the two-argument enumerate_dividing_sets and iter_bypass_surgeries.  A
+renamed function or a changed signature makes this run fail.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_traced_disk_ladder_runs_correctly():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "disk-ladder",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

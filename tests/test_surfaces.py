@@ -81,6 +81,24 @@ def test_non_alternating_labels_rejected():
         sf.validate_surface(sf.MarkedSurface((word,), ()))
 
 
+M, P, N = sf.mark(), sf.plain(1), sf.plain(-1)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        (M, M, P, M, N, M, P),
+        (M, P, M, M, P, M, N),
+        (M, P, M, N, M, P, M),
+        (M, P, M, M, P, M),
+    ],
+    ids=["first", "middle", "wrap", "middle-and-wrap"],
+)
+def test_empty_sector_rejected(word):
+    with pytest.raises(sf.SurfaceError, match="adjacent"):
+        sf.validate_surface(sf.MarkedSurface((word,), ()))
+
+
 def test_unpaired_segment_rejected():
     word = (sf.mark(), sf.plain(1), sf.mark(), sf.plain(-1), sf.ident(0))
     with pytest.raises(sf.SurfaceError, match="unpaired"):
