@@ -25,7 +25,6 @@ from .surfaces import (
     PLAIN,
     DividingSet,
     MarkedSurface,
-    _layout,
     _trace_boundary,
     layout_of,
     make_dividing_set,
@@ -170,17 +169,15 @@ def map_dividing_set(info: GlueInfo, k: DividingSet) -> DividingSet:
     """The glued image of a dividing set on the source surface."""
     src_layout = layout_of(info.source, k)
     crossings = k.crossings + (info.seam_marks,)
-    tgt_layout = _layout(info.target, crossings)
-    chords = []
-    for p in range(info.source.num_pieces):
-        pairs = []
-        for a, b in k.chords[p]:
-            keys = []
-            for slot in (a, b):
-                key = src_layout.key(p, slot)
-                keys.append(info.mark_map.get(key, key))
-            pairs.append((tgt_layout.index[keys[0]][1], tgt_layout.index[keys[1]][1]))
-        chords.append(pairs)
+    tgt_layout = info.target.layout(crossings)
+
+    def target_slot(key):
+        return tgt_layout.slot_of(info.mark_map.get(key, key))[1]
+
+    chords = [
+        [(target_slot(keys[a]), target_slot(keys[b])) for a, b in piece_chords]
+        for keys, piece_chords in zip(src_layout.slots, k.chords)
+    ]
     return make_dividing_set(crossings, chords, k.closed)
 
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 MARK = "mark"
 PLAIN = "plain"
@@ -83,9 +82,18 @@ class MarkedSurface:
 
     words: tuple[tuple[Token, ...], ...]
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    # crossing vector -> SlotLayout; it lives as long as the surface does.
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def token(self, piece: int, idx: int) -> Token:
         return self.words[piece][idx]
+
+    def layout(self, crossings: tuple[int, ...]) -> SlotLayout:
+        """The slot layout for a crossing vector, built once."""
+        if crossings not in self._layouts:
+            _check_length(self, crossings)
+            self._layouts[crossings] = SlotLayout(self, crossings)
+        return self._layouts[crossings]
 
     @property
     def num_pieces(self) -> int:
@@ -341,44 +349,43 @@ SlotKey = tuple
 
 
 class SlotLayout:
-    """Slot indexing for a surface with a fixed crossing vector."""
+    """Slot indexing for a surface with a fixed crossing vector.
+
+    slots[p] lists the slot keys of piece p in boundary order.  first[p][i]
+    is the number of slots of piece p before token i, so a mark at token
+    i is slot first[p][i] and the crossings of a segment at token i are
+    the slots from first[p][i] on.
+    """
 
     def __init__(self, surface: MarkedSurface, crossings: tuple[int, ...]):
-        if len(crossings) != surface.num_pairs:
-            raise DividingSetError(
-                f"crossing vector has length {len(crossings)}, expected {surface.num_pairs}"
-            )
         self.surface = surface
-        self.crossings = tuple(crossings)
+        self.crossings = crossings
+        side_of = {pos: (pair, side) for pair, sides in enumerate(surface.pairs)
+                   for side, pos in enumerate(sides)}
         self.slots: list[list[SlotKey]] = []
-        self.index: dict[SlotKey, tuple[int, int]] = {}
-        side_of: dict[tuple[int, int], tuple[int, int]] = {}
-        for k, (pos_a, pos_b) in enumerate(surface.pairs):
-            side_of[pos_a] = (k, 0)
-            side_of[pos_b] = (k, 1)
-        self._word_pos: list[list[int]] = []
+        self.first: list[list[int]] = []
         for p, word in enumerate(surface.words):
-            piece_slots: list[SlotKey] = []
-            word_pos: list[int] = []
+            keys: list[SlotKey] = []
+            first = []
             for i, tok in enumerate(word):
+                first.append(len(keys))
                 if tok[0] == MARK:
-                    piece_slots.append(("m", p, i))
-                    word_pos.append(i)
+                    keys.append(("m", p, i))
                 elif tok[0] == IDENT:
-                    pair, side = side_of[(p, i)]
-                    for pos in range(crossings[pair]):
-                        piece_slots.append(("x", pair, side, pos))
-                        word_pos.append(i)
-            self.slots.append(piece_slots)
-            self._word_pos.append(word_pos)
-            for j, key in enumerate(piece_slots):
-                self.index[key] = (p, j)
+                    pair, side = side_of[p, i]
+                    keys.extend(("x", pair, side, pos) for pos in range(crossings[pair]))
+            self.slots.append(keys)
+            self.first.append(first)
 
     def num_slots(self, piece: int) -> int:
         return len(self.slots[piece])
 
-    def key(self, piece: int, slot: int) -> SlotKey:
-        return self.slots[piece][slot]
+    def slot_of(self, key: SlotKey) -> tuple[int, int]:
+        """(piece, slot) of a slot key."""
+        if key[0] == "m":
+            return key[1], self.first[key[1]][key[2]]
+        piece, i = self.surface.pairs[key[1]][key[2]]
+        return piece, self.first[piece][i] + key[3]
 
     def partner_key(self, key: SlotKey) -> SlotKey:
         _, pair, side, pos = key
@@ -388,40 +395,21 @@ class SlotLayout:
     def interval_for_word_position(self, piece: int, word_idx: int) -> int:
         """Interval index (between slot i and i+1) at the start of a token.
 
-        Returns -1 when the piece has no slots at all.  The token index of
-        every slot is stored in boundary order, so this is a bisection.
+        The interval before slot 0 is the last one, given as -1, so that
+        gap g of a segment at word_idx is this interval plus g.
         """
-        positions = self._word_pos[piece]
-        if not positions:
-            return -1
-        return (bisect.bisect_left(positions, word_idx) - 1) % len(positions)
-
-    def segment_gap_interval(self, pair: int, side: int, gap: int) -> tuple[int, int]:
-        """(piece, interval) adjacent to the given gap of a segment side.
-
-        Gap g on a segment with r crossings lies between crossing g-1 and
-        crossing g (segment ends for g=0 and g=r).
-        """
-        piece, tok_idx = self.surface.pairs[pair][side]
-        r = self.crossings[pair]
-        if r == 0:
-            return piece, self.interval_for_word_position(piece, tok_idx)
-        if gap == 0:
-            first = self.index[("x", pair, side, 0)][1]
-            return piece, (first - 1) % self.num_slots(piece)
-        return piece, self.index[("x", pair, side, gap - 1)][1]
-
-
-# Layouts are keyed by (surface, crossing vector).  The largest working
-# set seen is 73 layouts (the full verify suite), so the bound keeps the
-# cache from growing without limit and never evicts in practice.
-@lru_cache(maxsize=1024)
-def _layout(surface: MarkedSurface, crossings: tuple[int, ...]) -> SlotLayout:
-    return SlotLayout(surface, crossings)
+        return self.first[piece][word_idx] - 1
 
 
 def layout_of(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
-    return _layout(surface, k.crossings)
+    return surface.layout(k.crossings)
+
+
+def _check_length(surface: MarkedSurface, crossings: tuple[int, ...]) -> None:
+    if len(crossings) != surface.num_pairs:
+        raise DividingSetError(
+            f"crossing vector has length {len(crossings)}, expected {surface.num_pairs}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -536,21 +524,26 @@ class Region:
 def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
     """Structural validity: crossing vector, perfect non-crossing pairings.
 
-    Returns k's slot layout.
+    Returns k's slot layout, which is built only once k has passed: a
+    piece's slot count is its marks plus the crossings of its segments.
     """
-    layout = layout_of(surface, k)
+    _check_length(surface, k.crossings)
     if len(k.chords) != surface.num_pieces:
         raise DividingSetError("chord data does not cover every piece")
     if k.closed < 0:
         raise DividingSetError("negative closed-component count")
     if any(c < 0 for c in k.crossings):
         raise DividingSetError("negative crossing count")
-    for p in range(surface.num_pieces):
-        if not is_noncrossing(layout.num_slots(p), k.chords[p]):
+    counts = [word.count((MARK,)) for word in surface.words]
+    for ((pa, _), (pb, _)), r in zip(surface.pairs, k.crossings):
+        counts[pa] += r
+        counts[pb] += r
+    for p, count in enumerate(counts):
+        if not is_noncrossing(count, k.chords[p]):
             raise DividingSetError(
                 f"piece {p}: chords are not a non-crossing perfect matching of its slots"
             )
-    return layout
+    return surface.layout(k.crossings)
 
 
 def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...] | None:
@@ -568,20 +561,22 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
     offsets = list(itertools.accumulate((f.num_faces for f in faces), initial=0))
     num_faces = offsets[-1]
     uf = _ParityUnionFind(num_faces)
+    # A piece with no slots is its single face 0.
+    face_of = [f.face_of_interval or (0,) for f in faces]
 
     def face_at(piece: int, interval: int) -> int:
-        if interval == -1:
-            return offsets[piece]
-        return offsets[piece] + faces[piece].face_of_interval[interval]
+        return offsets[piece] + face_of[piece][interval]
 
-    # Gap edges alone join faces into regions.  euler[f] is 1 for face f
-    # less the gaps charged to it.
+    # Gap edges alone join faces into regions: gap g of a segment with r
+    # crossings lies between crossings g-1 and g.  euler[f] is 1 for face
+    # f less the gaps charged to it.
     euler = [1] * num_faces
-    for pair in range(surface.num_pairs):
-        r = k.crossings[pair]
+    for ((pa, ia), (pb, ib)), r in zip(surface.pairs, k.crossings):
+        before_a = layout.interval_for_word_position(pa, ia)
+        before_b = layout.interval_for_word_position(pb, ib)
         for gap in range(r + 1):
-            fa = face_at(*layout.segment_gap_interval(pair, 0, gap))
-            fb = face_at(*layout.segment_gap_interval(pair, 1, r - gap))
+            fa = face_at(pa, before_a + gap)
+            fb = face_at(pb, before_b + r - gap)
             euler[fa] -= 1
             uf.union(fa, fb, 0)
     region_of = [uf.relation(f)[0] for f in range(num_faces)]
@@ -723,14 +718,16 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _find_bigon(layout: SlotLayout, k: DividingSet):
-    """First chord joining consecutive crossings of one segment side."""
-    for p in range(layout.surface.num_pieces):
-        for a, b in k.chords[p]:
-            ka, kb = layout.key(p, a), layout.key(p, b)
-            if ka[0] != "x" or kb[0] != "x":
-                continue
-            if ka[1] == kb[1] and ka[2] == kb[2] and abs(ka[3] - kb[3]) == 1:
-                return p, (a, b)
+    """Slot keys of the first chord joining consecutive crossings of one segment side.
+
+    The crossings of a side are consecutive slots, so such a chord joins
+    slots a and a+1 that are crossings of the same pair and side.
+    """
+    for keys, chords in zip(layout.slots, k.chords):
+        for a, b in chords:
+            ka, kb = keys[a], keys[b]
+            if abs(a - b) == 1 and ka[0] == kb[0] == "x" and ka[1:3] == kb[1:3]:
+                return ka, kb
     return None
 
 
@@ -770,8 +767,8 @@ def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
     consecutive crossings are neighbours among the surviving positions
     of a side.  The keys are renumbered into the final layout once.
     """
-    found = _find_bigon(layout, k)
-    if found is None:
+    bigon = _find_bigon(layout, k)
+    if bigon is None:
         return k
     mate: dict[SlotKey, SlotKey] = {}
     for keys, chords in zip(layout.slots, k.chords):
@@ -784,8 +781,6 @@ def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
     }
     crossings = list(k.crossings)
     closed = k.closed
-    p, (a, b) = found
-    bigon = (layout.key(p, a), layout.key(p, b))
     while bigon is not None:
         ka, kb = bigon
         pa, pb = layout.partner_key(ka), layout.partner_key(kb)
@@ -802,13 +797,13 @@ def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
         crossings[ka[1]] -= 2
         bigon = _next_bigon(layout, mate, alive)
 
-    final = _layout(layout.surface, tuple(crossings))
+    final = layout.surface.layout(tuple(crossings))
 
     def slot(key: SlotKey) -> tuple[int, int]:
         if key[0] == "x":
             _, pair, side, pos = key
             key = ("x", pair, side, bisect.bisect_left(alive[pair, side], pos))
-        return final.index[key]
+        return final.slot_of(key)
 
     chords: list[list[Chord]] = [[] for _ in k.chords]
     for key, other in mate.items():
@@ -821,8 +816,7 @@ def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
 
 def is_efficient(surface: MarkedSurface, k: DividingSet) -> bool:
     """Whether k is bigon-free (already in canonical position)."""
-    layout = layout_of(surface, k)
-    return _find_bigon(layout, k) is None
+    return _find_bigon(validate_dividing_set(surface, k), k) is None
 
 
 # ---------------------------------------------------------------------------
@@ -848,13 +842,13 @@ def enumerate_dividing_sets(
         gradings = {}
     out = []
     for crossings in itertools.product(range(bound + 1), repeat=surface.num_pairs):
-        layout = _layout(surface, crossings)
+        layout = surface.layout(crossings)
         counts = [layout.num_slots(p) for p in range(surface.num_pieces)]
         if any(c % 2 for c in counts):
             continue
         for chords in itertools.product(*(noncrossing_pairings(c) for c in counts)):
             k = DividingSet(crossings, chords, 0)
-            if not is_efficient(surface, k):
+            if _find_bigon(layout, k) is not None:
                 continue
             e = _grade(surface, k, gradings)
             if e is not None:

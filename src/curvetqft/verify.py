@@ -47,8 +47,11 @@ class CheckResult:
     seconds: float
 
 
-def _check(name):
-    """Turn fn(build) -> (passed, detail) into a timed check named name."""
+def _check(name, budget_s=None):
+    """Turn fn(build) -> (passed, detail) into a timed check named name.
+
+    A check that takes budget_s seconds or more fails.
+    """
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -58,36 +61,33 @@ def _check(name):
                 passed, detail = fn(build)
             except Exception as exc:  # a crash is a failure, not an abort
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            return CheckResult(name, passed, detail, time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            if budget_s is not None and seconds >= budget_s:
+                passed, detail = False, f"{detail}; over the {budget_s:g}s budget"
+            return CheckResult(name, passed, detail, seconds)
 
         return check
 
     return decorate
 
 
-@_check("catalan-enumeration")
+@_check("catalan-enumeration", budget_s=1.0)
 def check_catalan_counts(build):
     expected = [1, 2, 5, 14, 42, 132]
-    start = time.perf_counter()
     got = [len(enumerate_matchings(n)) for n in range(1, 7)]
-    elapsed = time.perf_counter() - start
-    ok = got == expected and elapsed < 1.0
-    return ok, f"counts {got} in {elapsed:.3f}s"
+    return got == expected, f"counts {got}"
 
 
-@_check("disk-ranks")
+@_check("disk-ranks", budget_s=60.0)
 def check_disk_ranks(build):
     details = []
     ok = True
-    start = time.perf_counter()
     for n in range(1, 7):
         m = build(disk(2 * n), 0)
         ok &= m.rank == 2 ** (n - 1)
         details.append(f"n={n}:{m.rank}")
         ok &= m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 60.0
-    return ok, f"{' '.join(details)} in {elapsed:.1f}s"
+    return ok, " ".join(details)
 
 
 @_check("matching-distinctness")
@@ -115,9 +115,8 @@ def check_superposition(build):
     return ok, "middle classes are nonzero, distinct, and sum to zero"
 
 
-@_check("annulus")
+@_check("annulus", budget_s=60.0)
 def check_annulus(build):
-    start = time.perf_counter()
     surface = annulus(2, 2)
     m = build(surface, ANNULUS_BOUND)
     ok = m.rank == 4 and m.graded_ranks() == {2: 1, 0: 2, -2: 1}
@@ -133,14 +132,11 @@ def check_annulus(build):
     ok &= va.coords == (v0.coords ^ v1.coords)
     ranks = [build(surface, b).rank for b in (2, 3, 4)]
     ok &= ranks == [4, 4, 4]
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 60.0
-    return ok, f"rank stable {ranks}, class identities hold, {elapsed:.1f}s"
+    return ok, f"rank stable {ranks}, class identities hold"
 
 
-@_check("vanishing-criterion")
+@_check("vanishing-criterion", budget_s=300.0)
 def check_vanishing(build):
-    start = time.perf_counter()
     cases = [
         (disk(2), 0), (disk(4), 0), (disk(6), 0), (disk(8), 0),
         (annulus(2, 2), ANNULUS_BOUND),
@@ -160,12 +156,7 @@ def check_vanishing(build):
     m = build(disk(4), 0)
     circled = make_dividing_set((), [[(0, 1), (2, 3)]], closed=1)
     ok &= class_of(m, circled).is_zero and is_isolating(disk(4), circled)
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 300.0
-    return ok, (
-        f"zero iff isolating over {total} dividing sets "
-        f"({isolating} isolating) in {elapsed:.1f}s"
-    )
+    return ok, f"zero iff isolating over {total} dividing sets ({isolating} isolating)"
 
 
 @_check("gluing-tables")
@@ -182,9 +173,8 @@ def check_gluing_tables(build):
     return got == expected, f"attachment tables {got}"
 
 
-@_check("lift-infeasibility")
+@_check("lift-infeasibility", budget_s=10.0)
 def check_lift(build):
-    start = time.perf_counter()
     ok = True
     for box in (4, 8):
         result = search_lift(standard_problem(search_box=box))
@@ -196,9 +186,7 @@ def check_lift(build):
                 and steps[-1]["required"] == 0
     relaxed = search_lift(standard_problem(allow_signs=True))
     ok &= relaxed.feasible
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 10.0
-    return ok, f"infeasible at boxes 4 and 8, feasible with signs, {elapsed:.1f}s"
+    return ok, "infeasible at boxes 4 and 8, feasible with signs"
 
 
 @_check("disk-oracle")
@@ -220,10 +208,17 @@ def check_disk_oracle(build):
 
 @_check("multiplicativity")
 def check_multiplicativity(build):
-    m1 = build(disjoint_union(disk(4), disk(4)), 0)
-    m2 = build(disjoint_union(disk(2), annulus(2, 2)), ANNULUS_BOUND)
-    ok = m1.rank == 4 and m2.rank == 4
-    return ok, f"disk2|disk2 rank {m1.rank} = 4, disk1|annulus rank {m2.rank} = 4"
+    ok = True
+    details = []
+    for label, (a, bound_a), (b, bound_b) in (
+        ("disk2|disk2", (disk(4), 0), (disk(4), 0)),
+        ("disk1|annulus", (disk(2), 0), (annulus(2, 2), ANNULUS_BOUND)),
+    ):
+        union = build(disjoint_union(a, b), max(bound_a, bound_b)).rank
+        ranks = (build(a, bound_a).rank, build(b, bound_b).rank)
+        ok &= union == ranks[0] * ranks[1]
+        details.append(f"{label} rank {union} = {ranks[0]}*{ranks[1]}")
+    return ok, ", ".join(details)
 
 
 @_check("cutting-isomorphism")

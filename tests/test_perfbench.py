@@ -14,12 +14,17 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_disk_ladder_runs_correctly():
+# glued-ladder is the only ladder with seams, so only its traced run
+# replays gap intervals and bigon reduction through the tracer's hooks.
+@pytest.mark.parametrize("workload", ["disk-ladder", "glued-ladder"])
+def test_traced_ladder_runs_correctly(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "disk-ladder",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, cwd=ROOT,
     )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -407,6 +410,8 @@ MALFORMED_ANNULUS_SETS = [
     # A contractible circle does not make a malformed set well formed.
     (sf.DividingSet((0, 0), ((),), 1), "crossing vector has length 2, expected 1"),
     (sf.DividingSet((0,), (((0, 2), (1, 3)),), 1), "piece 0: chords are not"),
+    # Rejected by its slot count, before 2 * 10**5 crossing slots are laid out.
+    (sf.DividingSet((10**5,), (((0, 1),),), 0), "piece 0: chords are not"),
 ]
 
 
@@ -417,14 +422,47 @@ def test_canonicalize_rejects_malformed_sets():
             sf.canonicalize(surface, k)
 
 
+def test_slot_count_mismatch_is_rejected_without_a_layout():
+    surface = sf.annulus(2, 2)
+    k = sf.DividingSet((10**5,), (((0, 1),),), 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sf.DividingSetError, match="piece 0: chords are not"):
+            sf.canonicalize(surface, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_layouts_live_and_die_with_their_surface():
+    surface = sf.annulus(2, 2)
+    k = sf.DividingSet((2,), (), 0)
+    layout = weakref.ref(sf.layout_of(surface, k))
+    assert sf.layout_of(surface, k) is layout()
+    # The memo is no part of the surface's value: verify's module memo
+    # keys on surfaces.
+    fresh = sf.annulus(2, 2)
+    assert surface == fresh and hash(surface) == hash(fresh)
+    del surface
+    gc.collect()
+    assert layout() is None
+
+
+def test_layout_rejects_a_crossing_vector_of_the_wrong_length():
+    with pytest.raises(sf.DividingSetError, match="crossing vector has length 2, expected 1"):
+        sf.layout_of(sf.annulus(2, 2), sf.DividingSet((0, 0), (), 0))
+
+
 @pytest.mark.parametrize("query", [
     sf.euler_grading,
     sf.is_colorable,
     sf.is_isolating,
+    sf.is_efficient,
     lambda s, k: list(sf.iter_bypass_surgeries(s, k)),
     lambda s, k: sf.bypass_triple(s, k, sf.BypassArc(0, (0, 1), (2, 3), (4, 5))),
-], ids=["euler_grading", "is_colorable", "is_isolating", "iter_bypass_surgeries",
-        "bypass_triple"])
+], ids=["euler_grading", "is_colorable", "is_isolating", "is_efficient",
+        "iter_bypass_surgeries", "bypass_triple"])
 def test_region_queries_reject_malformed_sets(query):
     # A malformed set is a structural error, never an uncolorable set.
     surface = sf.annulus(2, 2)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
-from curvetqft import disk, verify
+from curvetqft import build_module, disk, verify
 
 
 def test_run_suite_builds_each_module_once(monkeypatch):
@@ -24,3 +25,23 @@ def test_run_suite_builds_each_module_once(monkeypatch):
     # The memo lives for one run: the next run builds again.
     verify.run_suite("disk")
     assert built[disk(6), 0] == 2
+
+
+def test_check_over_its_budget_fails():
+    check = verify._check("instant", budget_s=0.0)(lambda build: (True, "done"))
+    result = check(build_module)
+    assert not result.passed
+    assert result.detail == "done; over the 0s budget"
+
+
+def test_multiplicativity_compares_with_the_component_ranks():
+    # A wrong component rank must fail the check even when each union
+    # still has rank 4.
+    def build(surface, bound):
+        rank = build_module(surface, bound).rank
+        return SimpleNamespace(rank=3 if surface == disk(2) else rank)
+
+    assert verify.check_multiplicativity(build_module).passed
+    result = verify.check_multiplicativity(build)
+    assert not result.passed
+    assert "disk1|annulus rank 4 = 3*4" in result.detail
