@@ -14,19 +14,31 @@ region analysis ran as one union-find pass.
 The surface topology digest locks arc attachments, cuts, reglued targets
 and surface validation, recorded before validation, cutting and gluing
 shared one boundary walk and one word rewrite.
+
+The seam module digests hash the same machine-format JSON on surfaces
+with identification segments, where a raw bypass member can hold a
+bigon: annulus(2,2) in all four corner labellings at bounds 0-4,
+annulus(2,4) and annulus(4,2) at bound 3, punctured_torus(2) at bounds
+1-4, punctured_torus(6) at bound 3, disk(14), punctured_torus(2) plus
+annulus(2,2) at bound 3, and the three attach_arc_datum(3, j) targets at
+bound 2.  They were recorded before enumeration skipped bigon chords,
+each bypass triple was realized from one of its members, and rref ran
+per grading block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
 
+from curvetqft import fileio
 from curvetqft import surfaces as sf
 from curvetqft.cli import main
 from curvetqft.gluemaps import GluingError, attach_arc_datum, cut_surface, glue_surfaces
-from curvetqft.tqftcore import expected_rank
+from curvetqft.tqftcore import build_module, expected_rank
 
 DIGESTS = {
     ("--disk", "2", "--bound", "0"):
@@ -60,6 +72,105 @@ def test_module_machine_digest(flags, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[flags]
+
+
+CORNERS = ((sf.NEG, sf.NEG), (sf.NEG, sf.POS), (sf.POS, sf.NEG), (sf.POS, sf.POS))
+
+
+def _seam_surface(name):
+    """The surface a SEAM_DIGESTS key names."""
+    kind, *args = name
+    if kind == "annulus":
+        return sf.annulus(*args)
+    if kind == "torus":
+        return sf.punctured_torus(*args)
+    if kind == "disk":
+        return sf.disk(*args)
+    if kind == "union":
+        return sf.disjoint_union(sf.punctured_torus(2), sf.annulus(2, 2))
+    return glue_surfaces(attach_arc_datum(3, *args)).target
+
+
+# (surface name, bound) -> sha256 of the module's machine-format JSON.
+SEAM_DIGESTS = {
+    (("annulus", 2, 2, CORNERS[0]), 0):
+        "b7986866ccb5a58c2e270711714d59b8fd438a67723f311557a5cf888939f2ff",
+    (("annulus", 2, 2, CORNERS[0]), 1):
+        "15d523142513841dd4097f9504eb4a89ca5d86c09318bd3665d225fc16c21ae0",
+    (("annulus", 2, 2, CORNERS[0]), 2):
+        "90f93ea46770ea4f557707e841390c7808c4f0e1de0c7fbf9af37ba6ff557713",
+    (("annulus", 2, 2, CORNERS[0]), 3):
+        "79fcdf8d2f5af0075b12df71fdbc2a072faf376e227d85afada1e91d3ece4bd1",
+    (("annulus", 2, 2, CORNERS[0]), 4):
+        "56fd08ff1eaba5b8008a6cffbdab59fac4a40d733d6509ddaa9ece2641848982",
+    (("annulus", 2, 2, CORNERS[1]), 0):
+        "17bb9ed10670e24991220dee41bb0696aab3c5df2361a92a953a2738a2f38c45",
+    (("annulus", 2, 2, CORNERS[1]), 1):
+        "043b3a107dd4307d4459458692f40e5217c0a8a492737fe485f50bb7445cb3b5",
+    (("annulus", 2, 2, CORNERS[1]), 2):
+        "6ef4066da2f08ca531703b89bb340695f7bc5ee39ab69b868aa9ef05b16d57e7",
+    (("annulus", 2, 2, CORNERS[1]), 3):
+        "30f70d70d1eadf72a196377f575cd7ad859e4d48a474956fbb798ffe41042f1c",
+    (("annulus", 2, 2, CORNERS[1]), 4):
+        "6d14ac90436df7bea62db5661f4360cd062f0986fa87d54f564b30ae86db2147",
+    (("annulus", 2, 2, CORNERS[2]), 0):
+        "7eb5fd9146f1e5c4462e28c186f0b9c27ad99fed5874b900dba39bc686216683",
+    (("annulus", 2, 2, CORNERS[2]), 1):
+        "e42963868092b57ec1cfff028a533e58f11fd52abbb26df9ed49e9c8aa8fedca",
+    (("annulus", 2, 2, CORNERS[2]), 2):
+        "cd4915f71738acf75012402f299db75d35f96759e0fc9e9e7a34d44aa65ad91a",
+    (("annulus", 2, 2, CORNERS[2]), 3):
+        "9e58a4ce09de9b34ce8b93ca7c3278d363e2e143d3456148a98a3f000e77f0eb",
+    (("annulus", 2, 2, CORNERS[2]), 4):
+        "33b999a0f41c59b705bb8c761e74fceffbc164a91cf95de719ee766b715b735d",
+    (("annulus", 2, 2, CORNERS[3]), 0):
+        "73573eb86cc5440cda7c2fbcd81cedb2b76d2be7bb3c43598ffb337128fc3a9b",
+    (("annulus", 2, 2, CORNERS[3]), 1):
+        "8bf2f3e4f8e5e63b385de8b2729e57495206f044d345f124987d0a88cebf26f9",
+    (("annulus", 2, 2, CORNERS[3]), 2):
+        "32b0a69d0f27d39db5d1168961b107b7e22552d00c1b5fe97dccc93ba830783b",
+    (("annulus", 2, 2, CORNERS[3]), 3):
+        "128af8e9e816a9a06aeff8adea80999d9077dee29c3e48f3d612f7b741355511",
+    (("annulus", 2, 2, CORNERS[3]), 4):
+        "867d3bcb05a9372b5aecb1ab8b10e86bca04fe80386aa7cae8b810a17ae1b9be",
+    (("annulus", 2, 4), 3):
+        "1a26389a72e091c6b256e37535a79e1ecf202b6f01ea255cbad275d8598953b1",
+    (("annulus", 4, 2), 3):
+        "01eb9e899de04da2f631c89d608d373f62a996899b667184c5c79f4162261817",
+    (("torus", 2), 1):
+        "e053ea7c2f0e3b6dc80478e10d8969db835e87890b473ae36b300a1191099f44",
+    (("torus", 2), 2):
+        "f8b150404f764f0acee6deb0b9478c818b2b7800eed6321031c15db3e00051c2",
+    (("torus", 2), 3):
+        "254eab9151da4d248147d198548fa9033365adffa5fa7ab7157ec8d4122ba5f1",
+    (("torus", 2), 4):
+        "dc52128bd968ac2887e93330020a4f24a85d0b71772594366b377052392da496",
+    (("torus", 6), 3):
+        "fb459ad6d1c0505cadcb8aee0f7935673cf0c6ed16ae24cc929ff85c3455f2eb",
+    (("disk", 14), 0):
+        "dc6bd3d1f6241ea11c6e80cb2cab81de47bdce7892681aaeaba95459fc3f6171",
+    (("union",), 3):
+        "8be9f96d93b9ae169cfed08278c90973f2e175aaf53d3b3e1d85f1618651d0ea",
+    (("attach", 0), 2):
+        "c591ddd11487f1daa9c92ee7cac6deb9103f0231404f121816e9d549d25041a3",
+    (("attach", 1), 2):
+        "3775041423bec0a4173f6e01db6de525f8c7f99966e24f5a31fe541c4cdaee30",
+    (("attach", 2), 2):
+        "c6ebcc3981d2f638e1663a4577ca3f7b99b821023cd8366fd41ea863c67284ed",
+}
+
+
+def _seam_id(case):
+    name, bound = case
+    return "-".join(map(str, name)).replace(" ", "") + f"@{bound}"
+
+
+@pytest.mark.parametrize("case", list(SEAM_DIGESTS), ids=_seam_id)
+def test_seam_module_digest(case):
+    name, bound = case
+    module = build_module(_seam_surface(name), bound)
+    out = json.dumps(fileio.module_to_dict(module), indent=2, sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == SEAM_DIGESTS[case]
 
 
 CANONICALIZE_SURFACES = [
