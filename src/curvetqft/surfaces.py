@@ -354,7 +354,9 @@ class SlotLayout:
     slots[p] lists the slot keys of piece p in boundary order.  first[p][i]
     is the number of slots of piece p before token i, so a mark at token
     i is slot first[p][i] and the crossings of a segment at token i are
-    the slots from first[p][i] on.
+    the slots from first[p][i] on.  bigon_slots[p] holds every slot a of
+    piece p such that a and a+1 are crossings of one segment side: a
+    chord (a, a+1) is then a bigon.
     """
 
     def __init__(self, surface: MarkedSurface, crossings: tuple[int, ...]):
@@ -364,18 +366,22 @@ class SlotLayout:
                    for side, pos in enumerate(sides)}
         self.slots: list[list[SlotKey]] = []
         self.first: list[list[int]] = []
+        self.bigon_slots: list[frozenset[int]] = []
         for p, word in enumerate(surface.words):
             keys: list[SlotKey] = []
             first = []
+            bigons: list[int] = []
             for i, tok in enumerate(word):
                 first.append(len(keys))
                 if tok[0] == MARK:
                     keys.append(("m", p, i))
                 elif tok[0] == IDENT:
                     pair, side = side_of[p, i]
+                    bigons.extend(range(len(keys), len(keys) + crossings[pair] - 1))
                     keys.extend(("x", pair, side, pos) for pos in range(crossings[pair]))
             self.slots.append(keys)
             self.first.append(first)
+            self.bigon_slots.append(frozenset(bigons))
 
     def num_slots(self, piece: int) -> int:
         return len(self.slots[piece])
@@ -669,8 +675,15 @@ def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None
 # Crossingless matchings on the disk
 # ---------------------------------------------------------------------------
 
-def noncrossing_pairings(num_slots: int):
-    """All non-crossing perfect matchings of range(num_slots), as chord tuples."""
+def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
+    """Non-crossing perfect matchings of range(num_slots), as chord tuples.
+
+    A matching holding a chord (a, a+1) with a in forbidden is skipped: the
+    recursion never draws such a chord, so nothing is built to be thrown
+    away.  Every sublist the recursion pairs is a range of consecutive
+    slots, so that chord is always the one from the first point to its
+    neighbour.
+    """
     if num_slots % 2:
         return
     if num_slots == 0:
@@ -684,6 +697,8 @@ def noncrossing_pairings(num_slots: int):
             return
         first = points[0]
         for j in range(1, len(points), 2):
+            if j == 1 and first in forbidden:
+                continue
             left = points[1:j]
             right = points[j + 1:]
             for lp in rec(left):
@@ -718,16 +733,11 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _find_bigon(layout: SlotLayout, k: DividingSet):
-    """Slot keys of the first chord joining consecutive crossings of one segment side.
-
-    The crossings of a side are consecutive slots, so such a chord joins
-    slots a and a+1 that are crossings of the same pair and side.
-    """
-    for keys, chords in zip(layout.slots, k.chords):
+    """Slot keys of the first chord joining consecutive crossings of one segment side."""
+    for keys, bigons, chords in zip(layout.slots, layout.bigon_slots, k.chords):
         for a, b in chords:
-            ka, kb = keys[a], keys[b]
-            if abs(a - b) == 1 and ka[0] == kb[0] == "x" and ka[1:3] == kb[1:3]:
-                return ka, kb
+            if abs(a - b) == 1 and min(a, b) in bigons:
+                return keys[a], keys[b]
     return None
 
 
@@ -831,9 +841,10 @@ def enumerate_dividing_sets(
     Contractible closed components are excluded (their classes vanish and
     their position is not recorded); closed components that cross
     identification segments are included.  Ordered by descending grading,
-    then by encoding.  When gradings is given, the grading of every
-    bigon-free candidate (None for an uncolorable one) is recorded in it
-    by encoding.
+    then by encoding.  Only bigon-free pairings are enumerated, so
+    colorability is the one filter.  When gradings is given, the grading
+    of every candidate (None for an uncolorable one) is recorded in it by
+    encoding.
     """
     if bound < 0:
         raise DividingSetError(f"crossing bound must be >= 0, got {bound}")
@@ -846,10 +857,11 @@ def enumerate_dividing_sets(
         counts = [layout.num_slots(p) for p in range(surface.num_pieces)]
         if any(c % 2 for c in counts):
             continue
-        for chords in itertools.product(*(noncrossing_pairings(c) for c in counts)):
+        pairings = (
+            noncrossing_pairings(c, bigons) for c, bigons in zip(counts, layout.bigon_slots)
+        )
+        for chords in itertools.product(*pairings):
             k = DividingSet(crossings, chords, 0)
-            if _find_bigon(layout, k) is not None:
-                continue
             e = _grade(surface, k, gradings)
             if e is not None:
                 out.append((-e, k.encode(), k))
@@ -890,20 +902,28 @@ _ROTATIONS = (
 )
 
 
+def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
+    """The six sorted endpoints of three chords, and the rotation they hold.
+
+    The chords, one separating the other two, are one rotation of their
+    six endpoints; the partner of the lowest endpoint names which.
+    """
+    q = sorted(s for chord in arc_chords for s in chord)
+    partner = next(b for a, b in arc_chords if a == q[0])
+    return q, (q[5], q[1], q[3]).index(partner)
+
+
 def _rotate(
     k: DividingSet, piece: int, arc_chords: tuple[Chord, Chord, Chord]
 ) -> tuple[DividingSet, DividingSet]:
     """Raw (front, back) of the bypass on three chords of one piece.
 
-    The chords, one separating the other two, are one rotation of their
-    six endpoints; front and back are the next two.  Every other chord
-    of the piece has both ends between two consecutive endpoints, so it
-    stays, as do the other pieces and the closed components.
+    front and back hold the next two rotations of the chords' six
+    endpoints.  Every other chord of the piece has both ends between two
+    consecutive endpoints, so it stays, as do the other pieces and the
+    closed components.
     """
-    q = sorted(s for chord in arc_chords for s in chord)
-    # The partner of q0 names the rotation k holds.
-    partner = next(b for a, b in arc_chords if a == q[0])
-    i = (q[5], q[1], q[3]).index(partner)
+    q, i = _rotation(arc_chords)
     rest = [c for c in k.chords[piece] if c not in arc_chords]
     out = []
     for step in (1, 2):
@@ -976,6 +996,49 @@ def bypass_triple(
     return realized
 
 
+def _owns(layout: SlotLayout, piece: int, arc_chords: tuple[Chord, Chord, Chord]) -> bool:
+    """Whether k, holding these chords, is the member that owns their triple.
+
+    The members hold the three rotations of the six endpoints and share
+    every other chord.  k is bigon-free, so a member holds a bigon only
+    in its rotated chords.  The owner is the bigon-free member of lowest
+    rotation index.  When the triple is realizable, the owner is a
+    generator with k's crossings and grading, its outer arc over the same
+    chords is enumerated, and it realizes the same triple; so each
+    relation row is found from its owner alone.
+    """
+    q, i = _rotation(arc_chords)
+    bigons = layout.bigon_slots[piece]
+    return all(
+        any(q[b] - q[a] == 1 and q[a] in bigons for a, b in _ROTATIONS[j]) for j in range(i)
+    )
+
+
+def _surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict, keep):
+    """(arc, front, back) of each realizable arc on k whose chords keep accepts.
+
+    keep(layout, piece, arc_chords) runs before the rotation is built.
+    """
+    base_e = _colored(_grade(surface, k, gradings))
+    layout = layout_of(surface, k)
+    for p in range(surface.num_pieces):
+        faces = piece_faces(layout.num_slots(p), k.chords[p])
+        adjacency: dict[int, list[Chord]] = {}
+        for chord, (inner, outer) in faces.chord_sides.items():
+            adjacency.setdefault(inner, []).append(chord)
+            adjacency.setdefault(outer, []).append(chord)
+        for cross in k.chords[p]:
+            inner, outer = faces.chord_sides[cross]
+            for start in adjacency[outer]:
+                for end in adjacency[inner]:
+                    chords = (start, cross, end)
+                    if cross in (start, end) or not keep(layout, p, chords):
+                        continue
+                    realized = _realize(surface, k, base_e, _rotate(k, p, chords), gradings)
+                    if realized is not None:
+                        yield (BypassArc(p, *chords), *realized)
+
+
 def iter_bypass_surgeries(
     surface: MarkedSurface, k: DividingSet, gradings: dict | None = None
 ):
@@ -990,26 +1053,16 @@ def iter_bypass_surgeries(
     arc (s, c, e) is the outer arc (e, c, s) reversed and gives the same
     pair.  A surgery is kept when its results are consistently colorable
     and grading-preserving.  gradings is _grade's encoding -> grading
-    map; a module build passes one map to every call so that each
-    dividing set is analyzed once.
+    map, so that each dividing set is analyzed once per map.
     """
-    if gradings is None:
-        gradings = {}
-    base_e = _colored(_grade(surface, k, gradings))
-    layout = layout_of(surface, k)
-    for p in range(surface.num_pieces):
-        faces = piece_faces(layout.num_slots(p), k.chords[p])
-        adjacency: dict[int, list[Chord]] = {}
-        for chord, (inner, outer) in faces.chord_sides.items():
-            adjacency.setdefault(inner, []).append(chord)
-            adjacency.setdefault(outer, []).append(chord)
-        for cross in k.chords[p]:
-            inner, outer = faces.chord_sides[cross]
-            for start in adjacency[outer]:
-                for end in adjacency[inner]:
-                    if cross in (start, end):
-                        continue
-                    raw = _rotate(k, p, (start, cross, end))
-                    realized = _realize(surface, k, base_e, raw, gradings)
-                    if realized is not None:
-                        yield (BypassArc(p, start, cross, end), *realized)
+    return _surgeries(surface, k, {} if gradings is None else gradings, lambda *_: True)
+
+
+def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict):
+    """The surgeries of iter_bypass_surgeries on a generator k that k owns.
+
+    Each realizable triple is met from exactly one of its members (see
+    _owns), so a module build that runs this over every generator, with
+    one gradings map, realizes each relation row once.
+    """
+    return _surgeries(surface, k, gradings, _owns)

@@ -4,15 +4,18 @@ The module attached to a marked surface at crossing bound B is the free
 GF(2) vector space on the canonical dividing sets within the bound,
 modulo one relation for every realizable bypass surgery: the three
 members of a triple sum to zero, where a member with a contractible
-closed component counts as zero.  For a connected surface the quotient
-rank is expected to be 2**(n - chi), with n half the number of marked
-points; a mismatch is reported, not silently repaired, since it signals
-that the bound is too small or the relation set incomplete.
+closed component counts as zero.  The quotient is expected to be
+V^(n - chi), with n half the number of marked points and V = GF(2) in
+gradings +1 and -1: rank binom(N, j) in grading N - 2j, N = n - chi.  A
+mismatch is reported, not silently repaired, since it signals that the
+bound is too small or the relation set incomplete.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 
 from . import gf2
 from .surfaces import (
@@ -22,8 +25,8 @@ from .surfaces import (
     enumerate_dividing_sets,
     enumerate_matchings,
     euler_grading,
-    iter_bypass_surgeries,
     num_marks,
+    owned_bypass_surgeries,
     validate_surface,
 )
 
@@ -88,11 +91,7 @@ class TqftModule:
         return len(self.basis_indices)
 
     def graded_ranks(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i in self.basis_indices:
-            e = self.gradings[i]
-            out[e] = out.get(e, 0) + 1
-        return out
+        return dict(Counter(self.gradings[i] for i in self.basis_indices))
 
     def generator_index(self, k: DividingSet) -> int:
         try:
@@ -113,14 +112,30 @@ class TqftModule:
         return coords
 
 
-def expected_rank(surface: MarkedSurface) -> int:
-    """2**(n - chi) over all components at once, since n and chi both add."""
+def expected_graded_ranks(surface: MarkedSurface) -> dict[int, int]:
+    """Graded ranks of V^N, N = n - chi: binom(N, j) in grading N - 2j.
+
+    Over all components at once: n and chi add under disjoint union, and
+    so do gradings.
+    """
     validate_surface(surface)
-    return 2 ** (num_marks(surface) // 2 - surface.euler_characteristic())
+    n = num_marks(surface) // 2 - surface.euler_characteristic()
+    return {n - 2 * j: comb(n, j) for j in range(n + 1)}
+
+
+def expected_rank(surface: MarkedSurface) -> int:
+    """2**(n - chi), the total of the expected graded ranks."""
+    return sum(expected_graded_ranks(surface).values())
 
 
 def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModule:
-    """Assemble and reduce the bypass presentation at the given bound."""
+    """Assemble and reduce the bypass presentation at the given bound.
+
+    Each relation row is realized once, from the generator that owns its
+    triple.  Rows never mix gradings, so each grading block is reduced on
+    its own; the blocks touch disjoint columns, so the merged result is
+    the reduced form of all rows.
+    """
     validate_surface(surface)
     # Grading by encoding (None: uncolorable) of every dividing set this
     # build analyzes; enumeration seeds it and the surgeries extend it.
@@ -141,9 +156,9 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
         i = index[enc]
         return 1 << i, gradings[i]
 
-    rows: set[int] = set()
+    blocks: dict[int, set[int]] = {}  # grading -> relation rows
     for i, g in enumerate(generators):
-        for _, front, back in iter_bypass_surgeries(surface, g, grading_of):
+        for _, front, back in owned_bypass_surgeries(surface, g, grading_of):
             bit_f, e_f = member_bit(front)
             bit_b, e_b = member_bit(back)
             for e_other in (e_f, e_b):
@@ -154,24 +169,35 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
                     )
             row = (1 << i) ^ bit_f ^ bit_b
             if row:
-                rows.add(row)
+                blocks.setdefault(gradings[i], set()).add(row)
 
-    reduced, pivots = gf2.rref(rows)
+    reduced_at: dict[int, int] = {}  # pivot -> reduced row
+    for block in blocks.values():
+        reduced, pivots = gf2.rref(block)
+        reduced_at.update(zip(pivots, reduced))
+    pivots = sorted(reduced_at)
     basis_indices = tuple(sorted(set(range(len(generators))).difference(pivots)))
-    expected = expected_rank(surface)
+    expected_graded = expected_graded_ranks(surface)
+    expected = sum(expected_graded.values())
+    graded = dict(Counter(gradings[i] for i in basis_indices))
     warnings = []
     if len(basis_indices) != expected:
         warnings.append(
             f"rank {len(basis_indices)} differs from the expected {expected}; "
             "raise the crossing bound"
         )
+    elif graded != expected_graded:
+        warnings.append(
+            f"graded ranks {dict(sorted(graded.items()))} differ from the expected "
+            f"{dict(sorted(expected_graded.items()))}"
+        )
     return TqftModule(
         surface=surface,
         bound=bound,
         generators=generators,
         gradings=gradings,
-        relation_rows=tuple(sorted(rows)),
-        reduced_rows=tuple(reduced),
+        relation_rows=tuple(sorted(set().union(*blocks.values()))),
+        reduced_rows=tuple(reduced_at[p] for p in pivots),
         pivots=tuple(pivots),
         basis_indices=basis_indices,
         expected_rank=expected,

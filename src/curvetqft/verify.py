@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from math import comb
 
 from .gluemaps import attachment_table, cut_check
 from .liftsearch import replay_certificate, search_lift, standard_problem
@@ -33,7 +32,13 @@ from .surfaces import (
     make_dividing_set,
     punctured_torus,
 )
-from .tqftcore import build_module, class_of, disk_bruteforce_module, distinct_classes
+from .tqftcore import (
+    build_module,
+    class_of,
+    disk_bruteforce_module,
+    distinct_classes,
+    expected_graded_ranks,
+)
 
 ANNULUS_BOUND = 3
 TORUS_BOUND = 3
@@ -86,7 +91,7 @@ def check_disk_ranks(build):
         m = build(disk(2 * n), 0)
         ok &= m.rank == 2 ** (n - 1)
         details.append(f"n={n}:{m.rank}")
-        ok &= m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
+        ok &= m.graded_ranks() == expected_graded_ranks(m.surface)
     return ok, " ".join(details)
 
 

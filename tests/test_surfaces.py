@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import random
 import tracemalloc
 import weakref
 
@@ -143,6 +144,33 @@ def test_matchings_n3_values():
     gradings = [sf.euler_grading(surface, k) for k in ms]
     assert gradings == [2, 0, 0, 0, -2]
     assert all(sf.is_noncrossing(6, k.chords[0]) for k in ms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_noncrossing_pairings_skip_forbidden_chords(seed):
+    # The same matchings in the same order as filtering the full list.
+    rng = random.Random(seed)
+    for num_slots in range(0, 13, 2):
+        forbidden = frozenset(a for a in range(num_slots - 1) if rng.random() < 0.4)
+        expected = [
+            pairing for pairing in sf.noncrossing_pairings(num_slots)
+            if not any(b == a + 1 and a in forbidden for a, b in pairing)
+        ]
+        assert list(sf.noncrossing_pairings(num_slots, forbidden)) == expected
+
+
+@pytest.mark.parametrize("surface", [
+    sf.disk(6), sf.annulus(2, 4, (sf.POS, sf.NEG)), sf.punctured_torus(4),
+    sf.disjoint_union(sf.annulus(2, 2), sf.punctured_torus(2)),
+])
+def test_bigon_slots_are_consecutive_crossings_of_one_side(surface):
+    for crossings in itertools.product(range(4), repeat=surface.num_pairs):
+        layout = surface.layout(crossings)
+        for keys, bigons in zip(layout.slots, layout.bigon_slots):
+            assert bigons == {
+                a for a in range(len(keys) - 1)
+                if keys[a][0] == keys[a + 1][0] == "x" and keys[a][1:3] == keys[a + 1][1:3]
+            }
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from math import comb
 
 import pytest
 
@@ -41,7 +40,7 @@ def test_disk_module_ranks(n, rank):
     m = tc.build_module(sf.disk(2 * n), 0)
     assert m.rank == rank == m.expected_rank
     assert not m.warnings
-    assert m.graded_ranks() == {n - 1 - 2 * j: comb(n - 1, j) for j in range(n)}
+    assert m.graded_ranks() == tc.expected_graded_ranks(m.surface)
 
 
 def test_disk_three_graded_ranks():
@@ -236,6 +235,54 @@ def test_rank_warning_below_stability():
     m = tc.build_module(sf.annulus(2, 2), 0)
     assert m.rank == 2 and m.expected_rank == 4
     assert m.warnings
+
+
+def test_expected_graded_ranks_are_binomial():
+    # N = n - chi: 2 for the annulus(2,2), 3 for the disk with 8 marks,
+    # 4 for punctured_torus(2) plus annulus(2,2).
+    assert tc.expected_graded_ranks(sf.annulus(2, 2)) == {2: 1, 0: 2, -2: 1}
+    assert tc.expected_graded_ranks(sf.disk(8)) == {3: 1, 1: 3, -1: 3, -3: 1}
+    union = sf.disjoint_union(sf.punctured_torus(2), sf.annulus(2, 2))
+    assert tc.expected_graded_ranks(union) == {4: 1, 2: 4, 0: 6, -2: 4, -4: 1}
+    for surface in (sf.disk(2), sf.disk(12), union):
+        assert tc.expected_rank(surface) == sum(tc.expected_graded_ranks(surface).values())
+
+
+def test_graded_rank_mismatch_warns(monkeypatch):
+    # Same total as the true {2: 1, 0: 2, -2: 1}, other grading pieces.
+    monkeypatch.setattr(tc, "expected_graded_ranks", lambda surface: {2: 2, -2: 2})
+    m = tc.build_module(sf.annulus(2, 2), 3)
+    assert m.rank == m.expected_rank == 4
+    assert m.warnings == (
+        "graded ranks {-2: 1, 0: 2, 2: 1} differ from the expected {-2: 2, 2: 2}",
+    )
+
+
+FULL_RANK_PRESETS = [(sf.disk(2 * n), 0) for n in range(1, 7)] + [
+    (sf.annulus(a, b, corners), 3)
+    for a, b in ((2, 2), (2, 4), (4, 2))
+    for corners in ((sf.NEG, sf.NEG), (sf.NEG, sf.POS), (sf.POS, sf.NEG), (sf.POS, sf.POS))
+] + [(sf.punctured_torus(m), 3) for m in (2, 4)] + [
+    (sf.disjoint_union(sf.disk(4), sf.annulus(2, 2)), 3),
+]
+
+
+@pytest.mark.parametrize("surface,bound", FULL_RANK_PRESETS)
+def test_full_rank_presets_have_binomial_graded_ranks(surface, bound):
+    m = tc.build_module(surface, bound)
+    assert m.rank == m.expected_rank
+    assert m.graded_ranks() == tc.expected_graded_ranks(surface)
+    assert not m.warnings
+
+
+def test_build_realizes_each_row_once(monkeypatch):
+    # Every bypass on a disk is realizable, and each triple is realized
+    # from one of its three members only: one rotation per relation row.
+    rotations = []
+    rotate = sf._rotate
+    monkeypatch.setattr(sf, "_rotate", lambda *args: rotations.append(args) or rotate(*args))
+    m = tc.build_module(sf.disk(12), 0)
+    assert len(rotations) == len(m.relation_rows) == 220
 
 
 @pytest.mark.parametrize(
