@@ -678,11 +678,9 @@ def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None
 def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
     """Non-crossing perfect matchings of range(num_slots), as chord tuples.
 
-    A matching holding a chord (a, a+1) with a in forbidden is skipped: the
-    recursion never draws such a chord, so nothing is built to be thrown
-    away.  Every sublist the recursion pairs is a range of consecutive
-    slots, so that chord is always the one from the first point to its
-    neighbour.
+    Matchings with a chord (a, a+1), a in forbidden, are never built: the
+    recursion pairs ranges of consecutive slots, so such a chord is always
+    a range's first point paired with its neighbour.
     """
     if num_slots % 2:
         return
@@ -736,7 +734,7 @@ def _find_bigon(layout: SlotLayout, k: DividingSet):
     """Slot keys of the first chord joining consecutive crossings of one segment side."""
     for keys, bigons, chords in zip(layout.slots, layout.bigon_slots, k.chords):
         for a, b in chords:
-            if abs(a - b) == 1 and min(a, b) in bigons:
+            if b - a == 1 and a in bigons or a - b == 1 and b in bigons:
                 return keys[a], keys[b]
     return None
 
@@ -997,7 +995,7 @@ def bypass_triple(
 
 
 def _owns(layout: SlotLayout, piece: int, arc_chords: tuple[Chord, Chord, Chord]) -> bool:
-    """Whether k, holding these chords, is the member that owns their triple.
+    """Whether the bigon-free set holding these chords owns their triple.
 
     The members hold the three rotations of the six endpoints and share
     every other chord.  k is bigon-free, so a member holds a bigon only

@@ -258,7 +258,8 @@ def test_graded_rank_mismatch_warns(monkeypatch):
     )
 
 
-FULL_RANK_PRESETS = [(sf.disk(2 * n), 0) for n in range(1, 7)] + [
+# Disks are covered by test_disk_module_ranks.
+FULL_RANK_PRESETS = [
     (sf.annulus(a, b, corners), 3)
     for a, b in ((2, 2), (2, 4), (4, 2))
     for corners in ((sf.NEG, sf.NEG), (sf.NEG, sf.POS), (sf.POS, sf.NEG), (sf.POS, sf.POS))
