@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -123,6 +124,27 @@ def test_lift_command_and_replay(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "lift", "--replay", str(cert))
     assert code == 1
     assert "INVALID" in out
+
+
+# sha256 of `lift --box 4` stdout, `lift --box 3 --relaxed` stdout and the
+# `lift --box 4 --out` file, recorded before the scan and the replay read
+# their constraints from the incidence pattern.
+LIFT_STDOUT_DIGESTS = {
+    ("--box", "4"):
+        "27c263e6ce44db2068f5423463a68f54851d14591a6f54dc2ebd95dd4595a87f",
+    ("--box", "3", "--relaxed"):
+        "b3be65b0572ddcf8b205a840713845736ee2d0b0c243090a46c64e27a38f3cc1",
+}
+LIFT_OUT_FILE_DIGEST = "cd8709534a2cff132982eb65836d6d49eaafd21c39ade83ac5c21a86718575ad"
+
+
+def test_lift_cli_digest(tmp_path, capsys):
+    for flags, digest in LIFT_STDOUT_DIGESTS.items():
+        _, out, _ = run_cli(capsys, "lift", *flags)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    cert = tmp_path / "certificate.json"
+    run_cli(capsys, "lift", "--box", "4", "--out", str(cert))
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == LIFT_OUT_FILE_DIGEST
 
 
 def test_lift_relaxed(capsys):
