@@ -230,6 +230,8 @@ def certificate_from_dict(data: Any) -> dict:
     if "steps" in data:
         steps = [dict(_object(step, "step")) for step in _array(data["steps"], "steps")]
         for step in steps:
+            if not isinstance(_field(step, "step", "step"), str):
+                raise FormatError(f"step kind must be a string, got {step['step']!r:.60}")
             for key in ("value", "kernel", "vector"):
                 if key in step:
                     step[key] = _int_pair(step[key], key)

@@ -15,7 +15,8 @@ ambiguity cannot be removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 # pattern[j][i] == 1 when functional j must carry unknown i to the image
@@ -57,7 +58,8 @@ class LiftProblem:
 
 
 def standard_problem(allow_signs: bool = False, search_box: int = 4) -> LiftProblem:
-    """The lift problem computed from the three arc-attachment maps."""
+    """The lift problem for STANDARD_PATTERN, a constant that
+    mod2_consistency checks against the computed arc-attachment maps."""
     return LiftProblem(STANDARD_PATTERN, allow_signs, search_box)
 
 
@@ -68,69 +70,46 @@ class LiftResult:
     certificate: dict
 
 
-def _admissible(value: int, required: int, allow_signs: bool) -> bool:
-    if required == 0:
-        return value == 0
-    return value in ((1, -1) if allow_signs else (1,))
+def _allowed(allow_signs: bool) -> tuple:
+    """allowed[r]: the values a functional may take where the pattern holds r."""
+    return ((0,), (-1, 1) if allow_signs else (1,))
+
+
+def _apply(phi, v) -> int:
+    return phi[0] * v[0] + phi[1] * v[1]
 
 
 def _scan(problem: LiftProblem):
     """All satisfying assignments (d, b, phi2, phi3) within the box.
 
-    Also returns assignments_checked: the number of box assignments whose
-    d, b and phi2 pass, times every phi3 in the box.  Since a = (1, 0),
-    phi(a) is phi's first coordinate, so phi2 and phi3 run only over the
-    first coordinates that phi2(a) and phi3(a) admit; the phi3 values
-    ruled out that way are counted without a loop.
+    Since a = (1, 0) and phi1 = (1, 0), phi(a) is phi's first coordinate
+    and phi1(v) is v's, so each coordinate runs only over the values the
+    pattern admits.  Also returns assignments_checked: the number of box
+    assignments whose d, b and phi2 pass, times every phi3 in the box.
     """
-    box = problem.search_box
     pat = problem.pattern
-    allow = problem.allow_signs
-    rng = range(-box, box + 1)
-    a = (1, 0)
-    phi1 = (1, 0)
-    firsts2 = [p for p in rng if _admissible(p, pat[1][0], allow)]
-    firsts3 = [p for p in rng if _admissible(p, pat[2][0], allow)]
+    allowed = _allowed(problem.allow_signs)
+    rng = range(-problem.search_box, problem.search_box + 1)
+
+    def primitive(required):
+        """Primitive box vectors v with phi1(v) admissible for required."""
+        return [(x, y) for x in allowed[required] for y in rng if gcd(x, y) == 1]
+
+    def functionals(row, b, d):
+        """Box functionals meeting one pattern row on a, b and d."""
+        return [phi for phi in product(allowed[row[0]], rng)
+                if _apply(phi, b) in allowed[row[1]] and _apply(phi, d) in allowed[row[2]]]
+
     witnesses = []
     checked = 0
-
-    def apply(phi, v):
-        return phi[0] * v[0] + phi[1] * v[1]
-
-    for d1 in rng:
-        for d2 in rng:
-            d = (d1, d2)
-            if gcd(d1, d2) != 1:
-                continue
-            if not _admissible(apply(phi1, d), pat[0][2], allow):
-                continue
-            for b1 in rng:
-                for b2 in rng:
-                    b = (b1, b2)
-                    if gcd(b1, b2) != 1:
-                        continue
-                    if not _admissible(apply(phi1, b), pat[0][1], allow):
-                        continue
-                    for p2 in firsts2:
-                        for q2 in rng:
-                            phi2 = (p2, q2)
-                            if not (
-                                _admissible(apply(phi2, b), pat[1][1], allow)
-                                and _admissible(apply(phi2, d), pat[1][2], allow)
-                            ):
-                                continue
-                            checked += len(rng) ** 2
-                            for p3 in firsts3:
-                                for q3 in rng:
-                                    phi3 = (p3, q3)
-                                    if (
-                                        _admissible(apply(phi3, b), pat[2][1], allow)
-                                        and _admissible(apply(phi3, d), pat[2][2], allow)
-                                    ):
-                                        witnesses.append(
-                                            {"a": a, "b": b, "d": d,
-                                             "phi1": phi1, "phi2": phi2, "phi3": phi3}
-                                        )
+    for d, b in product(primitive(pat[0][2]), primitive(pat[0][1])):
+        phi2s = functionals(pat[1], b, d)
+        checked += len(phi2s) * len(rng) ** 2
+        phi3s = functionals(pat[2], b, d) if phi2s else []
+        witnesses.extend(
+            {"a": (1, 0), "b": b, "d": d, "phi1": (1, 0), "phi2": phi2, "phi3": phi3}
+            for phi2 in phi2s for phi3 in phi3s
+        )
     return witnesses, checked
 
 
@@ -163,148 +142,111 @@ def _standard_contradiction_steps() -> list[dict]:
 def search_lift(problem: LiftProblem) -> LiftResult:
     """Exhaustively decide the lift problem inside its coordinate box.
 
-    Returns a certificate: for the standard sign-free problem the forced
-    deduction chain ending in the arithmetic contradiction, plus the scan
-    summary; for feasible problems the witnesses found.  The summary's
-    assignments_checked counts every box assignment whose d, b and phi2
-    pass, including the phi3 values that phi3(a) rules out without a loop.
+    Returns a certificate: the scan summary and the first witnesses, plus,
+    for the standard sign-free problem, the forced deduction chain ending
+    in the arithmetic contradiction.
     """
     witnesses, checked = _scan(problem)
-    feasible = bool(witnesses)
     certificate = {
         "pattern": [list(r) for r in problem.pattern],
         "allow_signs": problem.allow_signs,
         "box": problem.search_box,
-        "outcome": "feasible" if feasible else "infeasible",
+        "outcome": "feasible" if witnesses else "infeasible",
         "assignments_checked": checked,
         "witnesses": witnesses[:16],
         "witness_count": len(witnesses),
     }
-    if not feasible and problem.pattern == STANDARD_PATTERN and not problem.allow_signs:
+    if not witnesses and problem.pattern == STANDARD_PATTERN and not problem.allow_signs:
         certificate["steps"] = _standard_contradiction_steps()
-    return LiftResult(feasible, tuple(witnesses), certificate)
+    return LiftResult(bool(witnesses), tuple(witnesses), certificate)
 
 
-def _verify_steps(steps: list[dict]) -> bool:
-    """Re-check every arithmetic claim of the deduction chain.
+# Chain step kind -> (field holding its value, the name it binds, the
+# (functional, vector) incidences the bound value must meet).
+_CHAIN = {
+    "normalize-a": ("value", "a", ()),
+    "normalize-kernel": ("kernel", "ker", ()),
+    "derive-phi1": ("value", "phi1", (("phi1", "a"), ("phi1", "ker"))),
+    "derive-d": ("value", "d", (("phi1", "d"),)),
+    "derive-phi2": ("value", "phi2", (("phi2", "a"), ("phi2", "d"))),
+    "derive-b": ("value", "b", (("phi1", "b"), ("phi2", "b"))),
+    "derive-phi3": ("value", "phi3", (("phi3", "a"), ("phi3", "d"))),
+}
+_FUNCTIONALS = ("phi1", "phi2", "phi3")
+_UNKNOWNS = ("a", "b", "d")
 
-    Raises KeyError when a step lacks a field or uses a value that no
-    earlier step derived.
+
+def _verify_steps(steps: list, pattern: tuple) -> bool:
+    """Re-derive the sign-free deduction chain from pattern.
+
+    Each step binds a new name to a value meeting its incidences exactly,
+    unknowns primitive; the last says phi3(b) is not what pattern requires.
+    Raises KeyError for an unknown step, a missing field or an unbound name.
     """
+    if not steps:
+        return False
+    required = {(f, v): pattern[j][i] for j, f in enumerate(_FUNCTIONALS)
+                for i, v in enumerate(_UNKNOWNS)}
+    required["phi1", "ker"] = 0  # ker spans the kernel of phi1
     env = {}
-    for step in steps:
-        kind = step["step"]
-        if kind == "normalize-a":
-            env["a"] = tuple(step["value"])
-        elif kind == "normalize-kernel":
-            env["ker"] = tuple(step["kernel"])
-        elif kind == "derive-phi1":
-            phi1 = tuple(step["value"])
-            if phi1[0] * env["a"][0] + phi1[1] * env["a"][1] != 1:
-                return False
-            if phi1[0] * env["ker"][0] + phi1[1] * env["ker"][1] != 0:
-                return False
-            env["phi1"] = phi1
-        elif kind == "derive-d":
-            d = tuple(step["value"])
-            if env["phi1"][0] * d[0] + env["phi1"][1] * d[1] != 0:
-                return False
-            if gcd(d[0], d[1]) != 1:
-                return False
-            env["d"] = d
-        elif kind == "derive-phi2":
-            phi2 = tuple(step["value"])
-            if phi2[0] * env["a"][0] + phi2[1] * env["a"][1] != 0:
-                return False
-            if phi2[0] * env["d"][0] + phi2[1] * env["d"][1] != 1:
-                return False
-            env["phi2"] = phi2
-        elif kind == "derive-b":
-            b = tuple(step["value"])
-            if env["phi1"][0] * b[0] + env["phi1"][1] * b[1] != 1:
-                return False
-            if env["phi2"][0] * b[0] + env["phi2"][1] * b[1] != 1:
-                return False
-            env["b"] = b
-        elif kind == "derive-phi3":
-            phi3 = tuple(step["value"])
-            if phi3[0] * env["a"][0] + phi3[1] * env["a"][1] != 1:
-                return False
-            if phi3[0] * env["d"][0] + phi3[1] * env["d"][1] != 1:
-                return False
-            env["phi3"] = phi3
-        elif kind == "contradiction":
-            v = tuple(step["vector"])
-            derived = env["phi3"][0] * v[0] + env["phi3"][1] * v[1]
-            if derived != step["derived"]:
-                return False
-            if tuple(env["b"]) != v:
-                return False
-            if step["required"] == step["derived"]:
-                return False
-        else:
+    *chain, last = steps
+    for step in chain:
+        field, name, incidences = _CHAIN[step["step"]]
+        if name in env:
             return False
-    return True
+        env[name] = value = tuple(step[field])
+        if (name in _UNKNOWNS and gcd(*value) != 1) or any(
+                _apply(env[f], env[v]) != required[f, v] for f, v in incidences):
+            return False
+    return (last["step"] == "contradiction"
+            and tuple(last["vector"]) == env["b"]
+            and last["derived"] == _apply(env["phi3"], env["b"])
+            and last["required"] == required["phi3", "b"] != last["derived"])
 
 
 def replay_certificate(certificate: dict) -> bool:
-    """Re-run the scan and re-check every certificate step."""
+    """Re-run the scan and re-derive every claim of the certificate.
+
+    The summary must match the scan, witnesses must pass its admissibility
+    test, and a deduction chain must be sign-free and pass _verify_steps.
+    """
     problem = LiftProblem(
         tuple(tuple(r) for r in certificate["pattern"]),
         certificate["allow_signs"],
         certificate["box"],
     )
     witnesses, checked = _scan(problem)
-    if (certificate["outcome"] == "feasible") != bool(witnesses):
-        return False
-    if certificate.get("witness_count", len(witnesses)) != len(witnesses):
-        return False
-    if checked != certificate["assignments_checked"]:
+    claimed = (certificate["outcome"], certificate["assignments_checked"],
+               certificate.get("witness_count", len(witnesses)))
+    expected = ("feasible" if witnesses else "infeasible", checked, len(witnesses))
+    if claimed != expected:
         return False
     steps = certificate.get("steps")
     try:
-        if steps is not None and not _verify_steps(steps):
+        if steps is not None and (witnesses or problem.allow_signs
+                                  or not _verify_steps(steps, problem.pattern)):
             return False
     except KeyError:
         return False
-    for witness in certificate.get("witnesses", []):
-        for j, phi_name in enumerate(("phi1", "phi2", "phi3")):
-            phi = witness[phi_name]
-            for i, v_name in enumerate(("a", "b", "d")):
-                v = witness[v_name]
-                val = phi[0] * v[0] + phi[1] * v[1]
-                if not _admissible(val, problem.pattern[j][i], problem.allow_signs):
-                    return False
-    return True
+    allowed = _allowed(problem.allow_signs)
+    return all(_apply(w[f], w[v]) in allowed[problem.pattern[j][i]]
+               for w in certificate.get("witnesses", [])
+               for j, f in enumerate(_FUNCTIONALS) for i, v in enumerate(_UNKNOWNS))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    computed_pattern: tuple
-    expected_pattern: tuple
+def mod2_consistency(problem: LiftProblem) -> tuple:
+    """The zero/nonzero pattern of the computed arc-attachment maps.
 
-    @property
-    def matches(self) -> bool:
-        return self.computed_pattern == self.expected_pattern
-
-
-def mod2_consistency(problem: LiftProblem) -> ConsistencyReport:
-    """Check the problem's pattern against the computed attachment maps.
-
-    Builds the three arc-attachment maps on the six-point disk and
-    compares their zero/nonzero behaviour on the three middle classes
-    with the problem's incidence pattern.  A mismatch raises, since it
-    means the lift problem encodes the wrong maps.
+    Raises LiftError when it differs from the problem's pattern, since the
+    problem then encodes the wrong maps.
     """
     from .gluemaps import attachment_table
 
-    computed = tuple(
-        tuple(0 if v.is_zero else 1 for v in row) for row in attachment_table()
-    )
-    report = ConsistencyReport(computed, problem.pattern)
-    if not report.matches:
+    computed = tuple(tuple(0 if v.is_zero else 1 for v in row)
+                     for row in attachment_table())
+    if computed != problem.pattern:
         raise LiftError(
             f"incidence pattern {problem.pattern} does not match the "
             f"computed maps {computed}"
         )
-    return report
+    return computed

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 MARK = "mark"
@@ -528,7 +529,8 @@ class Region:
 
 
 def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
-    """Structural validity: crossing vector, perfect non-crossing pairings.
+    """Structural validity: crossing vector, normalized perfect non-crossing
+    pairings (as make_dividing_set writes them, so encode() is unique).
 
     Returns k's slot layout, which is built only once k has passed: a
     piece's slot count is its marks plus the crossings of its segments.
@@ -545,7 +547,13 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
         counts[pa] += r
         counts[pb] += r
     for p, count in enumerate(counts):
-        if not is_noncrossing(count, k.chords[p]):
+        chords = k.chords[p]
+        if chords != tuple(sorted(chords)) or not all(itertools.starmap(operator.lt, chords)):
+            raise DividingSetError(
+                f"piece {p}: chords are not sorted (lo, hi) pairs in ascending "
+                "order; build the set with make_dividing_set"
+            )
+        if not is_noncrossing(count, chords):
             raise DividingSetError(
                 f"piece {p}: chords are not a non-crossing perfect matching of its slots"
             )
@@ -1037,9 +1045,7 @@ def _surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict, keep):
                         yield (BypassArc(p, *chords), *realized)
 
 
-def iter_bypass_surgeries(
-    surface: MarkedSurface, k: DividingSet, gradings: dict | None = None
-):
+def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     """The realizable nontrivial bypass surgeries on k, as (arc, front, back).
 
     front and back are canonical.  Trivial arcs, which start or end on the
@@ -1050,10 +1056,9 @@ def iter_bypass_surgeries(
     starting on the outer side of the cross chord are tried: the inner
     arc (s, c, e) is the outer arc (e, c, s) reversed and gives the same
     pair.  A surgery is kept when its results are consistently colorable
-    and grading-preserving.  gradings is _grade's encoding -> grading
-    map, so that each dividing set is analyzed once per map.
+    and grading-preserving; each call grades with a fresh map.
     """
-    return _surgeries(surface, k, {} if gradings is None else gradings, lambda *_: True)
+    return _surgeries(surface, k, {}, lambda *_: True)
 
 
 def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict):

@@ -193,6 +193,10 @@ ANNULUS_K2 = {
 }
 
 
+LIFT_CERT_2 = {"pattern": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "allow_signs": False,
+               "box": 2, "outcome": "infeasible", "assignments_checked": 50}
+
+
 @pytest.mark.parametrize(
     "argv,content",
     [
@@ -235,10 +239,14 @@ ANNULUS_K2 = {
         pytest.param(["lift", "--replay", "{file}"], '{"pattern": 5}',
                      id="lift-pattern-int"),
         pytest.param(["lift", "--replay", "{file}"],
-                     '{"pattern": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], '
-                     '"allow_signs": false, "box": 2, "outcome": "infeasible", '
-                     '"assignments_checked": 50, "witnesses": [{"a": [1, 0]}]}',
+                     json.dumps({**LIFT_CERT_2, "witnesses": [{"a": [1, 0]}]}),
                      id="lift-short-witness"),
+        pytest.param(["lift", "--replay", "{file}"],
+                     json.dumps({**LIFT_CERT_2, "steps": [{"step": ["normalize-a"]}]}),
+                     id="lift-step-list"),
+        pytest.param(["lift", "--replay", "{file}"],
+                     json.dumps({**LIFT_CERT_2, "steps": [{"value": [1, 0]}]}),
+                     id="lift-step-missing"),
         pytest.param(["matchings", "--n", "9"], None, id="matchings-n-range"),
         pytest.param(["module", "--disk", "4", "--bound", "-1"], None,
                      id="module-negative-bound"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -55,6 +56,42 @@ def test_tampered_certificate_fails_replay():
     assert not ls.replay_certificate(cert4)
 
 
+def _forge_required_7(cert):
+    cert["steps"][-1]["required"] = 7
+
+
+def _forge_first_step_only(cert):
+    cert["steps"] = cert["steps"][:1]
+
+
+def _forge_empty_chain(cert):
+    cert["steps"] = []
+
+
+def _forge_chain_on_signed_problem(cert):
+    signed = ls.search_lift(ls.standard_problem(allow_signs=True)).certificate
+    cert.update(signed, steps=cert["steps"])
+
+
+def _forge_rebound_a(cert):
+    # phi3 derived against a second a = (1, 1): every step checks, but the
+    # chain no longer speaks of one a.
+    steps = cert["steps"]
+    steps.insert(-2, {"step": "normalize-a", "value": [1, 1]})
+    steps[-2]["value"] = [0, 1]
+    steps[-1]["derived"] = 1
+
+
+@pytest.mark.parametrize("forge", [
+    _forge_required_7, _forge_first_step_only, _forge_empty_chain,
+    _forge_chain_on_signed_problem, _forge_rebound_a,
+])
+def test_forged_chain_fails_replay(forge):
+    cert = copy.deepcopy(ls.search_lift(ls.standard_problem()).certificate)
+    forge(cert)
+    assert not ls.replay_certificate(cert)
+
+
 # sha256 of json.dumps(certificate, sort_keys=True), recorded from the
 # scan that tried every assignment in the box one by one.
 CERTIFICATE_DIGESTS = [
@@ -87,6 +124,7 @@ def test_certificate_digests(pattern, allow_signs, box, digest):
     certificate = ls.search_lift(problem).certificate
     text = json.dumps(certificate, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert ls.replay_certificate(certificate)
 
 
 def test_relaxed_problem_feasible_with_recorded_signs():
@@ -133,9 +171,7 @@ def test_problem_validation():
 
 
 def test_mod2_consistency_against_computed_maps():
-    report = ls.mod2_consistency(ls.standard_problem())
-    assert report.matches
-    assert report.computed_pattern == ls.STANDARD_PATTERN
+    assert ls.mod2_consistency(ls.standard_problem()) == ls.STANDARD_PATTERN
 
 
 def test_mod2_consistency_rejects_wrong_pattern():

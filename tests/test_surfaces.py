@@ -438,6 +438,9 @@ MALFORMED_ANNULUS_SETS = [
     # A contractible circle does not make a malformed set well formed.
     (sf.DividingSet((0, 0), ((),), 1), "crossing vector has length 2, expected 1"),
     (sf.DividingSet((0,), (((0, 2), (1, 3)),), 1), "piece 0: chords are not"),
+    # Chords outside make_dividing_set's normal form would not encode uniquely.
+    (sf.DividingSet((0,), (((1, 0), (2, 3)),), 0), "piece 0: chords are not sorted"),
+    (sf.DividingSet((0,), (((2, 3), (0, 1)),), 0), "piece 0: chords are not sorted"),
     # Rejected by its slot count, before 2 * 10**5 crossing slots are laid out.
     (sf.DividingSet((10**5,), (((0, 1),),), 0), "piece 0: chords are not"),
 ]

@@ -96,6 +96,14 @@ def test_bound_exceeded():
         tc.class_of(m, twisted)
 
 
+def test_class_of_rejects_unnormalized_chords():
+    m = tc.build_module(sf.disk(4), 0)
+    assert tc.class_of(m, sf.make_dividing_set((), [[(1, 0), (3, 2)]])).coords == 1
+    for chords in ((((1, 0), (3, 2)),), (((2, 3), (0, 1)),)):
+        with pytest.raises(sf.DividingSetError, match="make_dividing_set"):
+            tc.class_of(m, sf.DividingSet((), chords, 0))
+
+
 def _random_pairing(rng: random.Random, lo: int, hi: int) -> list:
     """A random non-crossing perfect matching of range(lo, hi)."""
     if lo >= hi:
