@@ -82,13 +82,34 @@ def _forge_rebound_a(cert):
     steps[-1]["derived"] = 1
 
 
+def _forge_closing_kind(cert):
+    cert["steps"][-1]["step"] = "remark"
+
+
 @pytest.mark.parametrize("forge", [
     _forge_required_7, _forge_first_step_only, _forge_empty_chain,
-    _forge_chain_on_signed_problem, _forge_rebound_a,
+    _forge_chain_on_signed_problem, _forge_rebound_a, _forge_closing_kind,
 ])
 def test_forged_chain_fails_replay(forge):
     cert = copy.deepcopy(ls.search_lift(ls.standard_problem()).certificate)
     forge(cert)
+    assert not ls.replay_certificate(cert)
+
+
+def test_chain_reads_required_values_from_pattern():
+    # phi2 vanishes on every unknown and phi3 only on b and d, so the
+    # standard chain's steps hold with phi2 = 0 and phi3 = (1, 0).
+    pattern = ((1, 1, 0), (0, 0, 0), (1, 0, 0))
+    cert = ls.search_lift(ls.LiftProblem(pattern, False, 4)).certificate
+    assert cert["outcome"] == "infeasible" and "steps" not in cert
+    chain = [("normalize-a", "value", [1, 0]), ("normalize-kernel", "kernel", [0, 1]),
+             ("derive-phi1", "value", [1, 0]), ("derive-d", "value", [0, 1]),
+             ("derive-phi2", "value", [0, 0]), ("derive-b", "value", [1, 1]),
+             ("derive-phi3", "value", [1, 0])]
+    cert["steps"] = [{"step": kind, field: value} for kind, field, value in chain]
+    cert["steps"].append({"step": "contradiction", "vector": [1, 1], "derived": 1, "required": 0})
+    assert ls.replay_certificate(cert)
+    cert["steps"][3]["value"] = [0, 2]  # phi1(d) = 0 still holds; d is not primitive
     assert not ls.replay_certificate(cert)
 
 
