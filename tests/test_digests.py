@@ -9,7 +9,10 @@ The canonicalize digest locks the bigon reduction of a seeded stream of
 random, possibly uncolorable dividing sets, recorded before the reduction
 worked on fixed slot keys.  The region digest locks colorability,
 grading, isolation and the region multiset of such sets, recorded before
-region analysis ran as one union-find pass.
+region analysis ran as one union-find pass.  The validation digest locks
+which of these sets, valid or corrupted in one of six ways, validation
+accepts and the message of each rejection, recorded before validation
+read each piece's chords in one walk.
 
 The surface topology digest locks arc attachments, cuts, reglued targets
 and surface validation, recorded before validation, cutting and gluing
@@ -252,6 +255,60 @@ def test_region_digest():
             for s in (k, sf.canonicalize(surface, k)):
                 digest.update(repr(_region_summary(surface, s)).encode())
     assert digest.hexdigest() == REGION_DIGEST
+
+
+VALIDATION_SETS_PER_SURFACE = 300
+VALIDATION_DIGEST = "0392f8eeb79fc302d095df7ee77cecbb8290f2c6d464fd40ed917afcd60c01f4"
+
+
+def _corruptions(rng, k):
+    """(kind, set) pairs: k itself and k with one piece corrupted."""
+    yield "valid", k
+    pieces = [p for p, chords in enumerate(k.chords) if chords]
+    if not pieces:
+        return
+    p = rng.choice(pieces)
+    chords = list(k.chords[p])
+    i = rng.randrange(len(chords))
+    a, b = chords[i]
+    last = 2 * len(chords) - 1
+    end = next(j for j, chord in enumerate(chords) if chord[1] == last)
+
+    def with_piece(new):
+        return sf.DividingSet(
+            k.crossings, k.chords[:p] + (tuple(new),) + k.chords[p + 1:], k.closed
+        )
+
+    yield "reversed", with_piece(chords[:i] + [(b, a)] + chords[i + 1:])
+    yield "repeated", with_piece(chords[:i + 1] + chords[i:])
+    yield "past-end", with_piece(
+        chords[:end] + [(chords[end][0], last + 1)] + chords[end + 1:]
+    )
+    yield "dropped", with_piece(chords[:i] + chords[i + 1:])
+    if len(chords) > 1:
+        j = rng.randrange(len(chords) - 1)
+        swapped = chords[:j] + [chords[j + 1], chords[j]] + chords[j + 2:]
+        yield "swapped", with_piece(swapped)
+        j = rng.choice([x for x in range(len(chords)) if x != i])
+        x1, x2, x3, x4 = sorted(chords[i] + chords[j])
+        rest = [c for x, c in enumerate(chords) if x not in (i, j)]
+        yield "crossing", with_piece(sorted(rest + [(x1, x3), (x2, x4)]))
+
+
+def test_validation_digest():
+    # Locks acceptance and the exact message of every rejection.
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for surface in CANONICALIZE_SURFACES:
+        for k in _random_sets(surface, rng, VALIDATION_SETS_PER_SURFACE):
+            for kind, s in _corruptions(rng, k):
+                try:
+                    sf.validate_dividing_set(surface, s)
+                    outcome = "ok"
+                except sf.DividingSetError as exc:
+                    outcome = str(exc)
+                digest.update(repr((kind, outcome)).encode())
+    assert digest.hexdigest() == VALIDATION_DIGEST
 
 
 TOPOLOGY_PRESETS = [

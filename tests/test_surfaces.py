@@ -441,9 +441,32 @@ MALFORMED_ANNULUS_SETS = [
     # Chords outside make_dividing_set's normal form would not encode uniquely.
     (sf.DividingSet((0,), (((1, 0), (2, 3)),), 0), "piece 0: chords are not sorted"),
     (sf.DividingSet((0,), (((2, 3), (0, 1)),), 0), "piece 0: chords are not sorted"),
+    # A repeated chord is in normal form but pairs no slot twice over.
+    (sf.DividingSet((0,), (((0, 1), (0, 1)),), 0), "piece 0: chords are not a non-crossing"),
     # Rejected by its slot count, before 2 * 10**5 crossing slots are laid out.
     (sf.DividingSet((10**5,), (((0, 1),),), 0), "piece 0: chords are not"),
 ]
+
+
+@pytest.mark.parametrize("num_slots", [2, 4, 6])
+def test_validation_accepts_exactly_the_noncrossing_pairings(num_slots):
+    # Every sorted tuple of sorted slot pairs, repeats allowed, of up to
+    # num_slots / 2 + 1 chords.
+    surface = sf.disk(num_slots)
+    valid = set(sf.noncrossing_pairings(num_slots))
+    pairs = list(itertools.combinations_with_replacement(range(num_slots), 2))
+    seen = 0
+    for size in range(num_slots // 2 + 2):
+        for chords in itertools.combinations_with_replacement(pairs, size):
+            k = sf.DividingSet((), (chords,), 0)
+            try:
+                sf.validate_dividing_set(surface, k)
+                accepted = True
+            except sf.DividingSetError:
+                accepted = False
+            assert accepted == (chords in valid), chords
+            seen += accepted
+    assert seen == len(valid) == sf.catalan(num_slots // 2)
 
 
 def test_canonicalize_rejects_malformed_sets():
