@@ -423,29 +423,6 @@ def _check_length(surface: MarkedSurface, crossings: tuple[int, ...]) -> None:
 # Faces of one piece
 # ---------------------------------------------------------------------------
 
-def is_noncrossing(num_slots: int, chords: tuple[Chord, ...]) -> bool:
-    """Whether the pairing is a perfect non-crossing matching of the slots."""
-    partner = {}
-    for a, b in chords:
-        if a == b or not (0 <= a < num_slots and 0 <= b < num_slots):
-            return False
-        if a in partner or b in partner:
-            return False
-        partner[a] = b
-        partner[b] = a
-    if len(partner) != num_slots:
-        return False
-    stack: list[int] = []
-    for s in range(num_slots):
-        if s < partner[s]:
-            stack.append(s)
-        else:
-            if not stack or stack[-1] != partner[s]:
-                return False
-            stack.pop()
-    return not stack
-
-
 @dataclass(frozen=True)
 class PieceFaces:
     """Planar faces of a disk piece cut along its chords.
@@ -532,8 +509,11 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
     """Structural validity: crossing vector, normalized perfect non-crossing
     pairings (as make_dividing_set writes them, so encode() is unique).
 
-    Returns k's slot layout, which is built only once k has passed: a
-    piece's slot count is its marks plus the crossings of its segments.
+    One walk over each piece's chords, in stored order, decides both:
+    every chord opens at the next unvisited slot and closes inside the
+    innermost open chord, and the walk ends on the piece's slot count
+    (its marks plus the crossings of its segments).  Returns k's slot
+    layout, which is built only once k has passed.
     """
     _check_length(surface, k.crossings)
     if len(k.chords) != surface.num_pieces:
@@ -548,15 +528,29 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
         counts[pb] += r
     for p, count in enumerate(counts):
         chords = k.chords[p]
+        ends: list[int] = []  # high ends of the open chords, innermost last
+        slot = 0  # the next unvisited slot
+        for a, b in chords:
+            while ends and ends[-1] == slot:
+                ends.pop()
+                slot += 1
+            if a != slot or not a < b < (ends[-1] if ends else count):
+                break
+            ends.append(b)
+            slot += 1
+        else:
+            # The open ends are distinct and lie in [slot, count), so
+            # they close the remaining slots when there are enough.
+            if len(ends) == count - slot:
+                continue
         if chords != tuple(sorted(chords)) or not all(itertools.starmap(operator.lt, chords)):
             raise DividingSetError(
                 f"piece {p}: chords are not sorted (lo, hi) pairs in ascending "
                 "order; build the set with make_dividing_set"
             )
-        if not is_noncrossing(count, chords):
-            raise DividingSetError(
-                f"piece {p}: chords are not a non-crossing perfect matching of its slots"
-            )
+        raise DividingSetError(
+            f"piece {p}: chords are not a non-crossing perfect matching of its slots"
+        )
     return surface.layout(k.crossings)
 
 

@@ -143,7 +143,9 @@ def test_matchings_n3_values():
     surface = sf.disk(6)
     gradings = [sf.euler_grading(surface, k) for k in ms]
     assert gradings == [2, 0, 0, 0, -2]
-    assert all(sf.is_noncrossing(6, k.chords[0]) for k in ms)
+    assert {k.chords[0] for k in ms} == set(sf.noncrossing_pairings(6))
+    for k in ms:
+        sf.validate_dividing_set(surface, k)
 
 
 @pytest.mark.parametrize("seed", range(8))
