@@ -37,7 +37,6 @@ from .tqftcore import (
     BoundExceededError,
     build_module,
     class_of,
-    graded_rank,
     distinct_classes,
     disk_bruteforce_module,
 )

@@ -185,7 +185,6 @@ def map_dividing_set(info: GlueInfo, k: DividingSet) -> DividingSet:
 class GlueResult:
     """A gluing map evaluated on generators and on the quotient basis."""
 
-    info: GlueInfo
     images: tuple[ClassVector, ...]
     basis_columns: tuple[int, ...]
 
@@ -220,7 +219,7 @@ def glue_map(info: GlueInfo, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult
                 "a bypass relation does not map to zero; the model is inconsistent"
             )
     basis_columns = tuple(images[i].coords for i in m_src.basis_indices)
-    return GlueResult(info, tuple(images), basis_columns)
+    return GlueResult(tuple(images), basis_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,6 @@ def _infer_labels(words, pairs):
 
 @dataclass(frozen=True)
 class CutInfo:
-    source: MarkedSurface
     cut_surface: MarkedSurface
     reglue: GluingDatum
 
@@ -300,7 +298,7 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
         BoundaryArc(qa, ja, ja + 2),
         BoundaryArc(qb, jb, jb + 2),
     )
-    return CutInfo(surface, cut, reglue)
+    return CutInfo(cut, reglue)
 
 
 @dataclass(frozen=True)

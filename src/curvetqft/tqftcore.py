@@ -53,21 +53,10 @@ class ClassVector:
 
     coords: int
     grading: int
-    basis_size: int
 
     @property
     def is_zero(self) -> bool:
         return self.coords == 0
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        if self.basis_size != other.basis_size:
-            raise ValueError("class vectors from different modules")
-        coords = self.coords ^ other.coords
-        grading = self.grading if not self.is_zero else other.grading
-        return ClassVector(coords, grading, self.basis_size)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
 
 @dataclass(frozen=True)
@@ -223,18 +212,13 @@ def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
     else:
         grading = euler_grading(module.surface, canonical)
     if canonical.closed > 0:
-        return ClassVector(0, grading, len(module.basis_indices))
+        return ClassVector(0, grading)
     if idx is None:
         # Bigon-free, colorable and circle-free: only the bound keeps it out.
         raise BoundExceededError("canonical form exceeds the module's crossing bound")
     reduced = module.reduce(1 << idx)
     coords = module.vector_in_basis(reduced)
-    return ClassVector(coords, grading, len(module.basis_indices))
-
-
-def graded_rank(module: TqftModule, grading: int) -> int:
-    """Rank of one graded piece of the quotient."""
-    return module.graded_ranks().get(grading, 0)
+    return ClassVector(coords, grading)
 
 
 @dataclass(frozen=True)

@@ -45,17 +45,19 @@ def test_disk_module_ranks(n, rank):
 
 def test_disk_three_graded_ranks():
     m = tc.build_module(sf.disk(6), 0)
-    assert m.graded_ranks() == {2: 1, 0: 2, -2: 1}
-    assert tc.graded_rank(m, 0) == 2
-    assert tc.graded_rank(m, 2) == 1
-    assert tc.graded_rank(m, 17) == 0
+    graded = m.graded_ranks()
+    assert graded == {2: 1, 0: 2, -2: 1}
+    assert graded[0] == 2
+    assert graded[2] == 1
+    assert 17 not in graded
 
 
 def test_disk_four_graded_ranks():
     m = tc.build_module(sf.disk(8), 0)
-    assert m.graded_ranks() == {3: 1, 1: 3, -1: 3, -3: 1}
-    assert tc.graded_rank(m, 3) == 1
-    assert tc.graded_rank(m, 1) == 3
+    graded = m.graded_ranks()
+    assert graded == {3: 1, 1: 3, -1: 3, -3: 1}
+    assert graded[3] == 1
+    assert graded[1] == 3
 
 
 def test_superposition_on_middle_classes():
@@ -64,8 +66,8 @@ def test_superposition_on_middle_classes():
     k2 = sf.make_dividing_set((), [[(0, 5), (1, 4), (2, 3)]])
     k3 = sf.make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
     v1, v2, v3 = (tc.class_of(m, k) for k in (k1, k2, k3))
-    assert (v1 + v2).coords == v3.coords
-    assert not (v1 + v2 + v3)
+    assert v1.coords ^ v2.coords == v3.coords
+    assert v1.coords ^ v2.coords ^ v3.coords == 0
     assert len({v1.coords, v2.coords, v3.coords}) == 3
 
 
@@ -220,8 +222,8 @@ def test_bypass_relation_closure():
     for g in m.generators:
         vg = tc.class_of(m, g)
         for _, front, back in sf.iter_bypass_surgeries(surface, g):
-            total = vg + tc.class_of(m, front) + tc.class_of(m, back)
-            assert total.is_zero
+            total = vg.coords ^ tc.class_of(m, front).coords ^ tc.class_of(m, back).coords
+            assert total == 0
 
 
 def test_annulus_identities():
@@ -234,7 +236,7 @@ def test_annulus_identities():
     va, vb = tc.class_of(m, circle_a), tc.class_of(m, circle_b)
     v0, v1 = tc.class_of(m, cross), tc.class_of(m, twisted)
     assert va.coords == vb.coords and not va.is_zero
-    assert va.coords == (v0 + v1).coords
+    assert va.coords == v0.coords ^ v1.coords
     assert v0.coords != v1.coords
     assert va.grading == v0.grading == v1.grading == 0
 
