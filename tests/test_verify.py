@@ -6,6 +6,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 from curvetqft import build_module, disk, verify
+from curvetqft import surfaces, tqftcore
 
 
 def test_run_suite_builds_each_module_once(monkeypatch):
@@ -16,11 +17,27 @@ def test_run_suite_builds_each_module_once(monkeypatch):
         built[surface, bound] += 1
         return real(surface, bound)
 
+    enumerated = Counter()
+    real_enumerate = surfaces.enumerate_dividing_sets
+
+    def counting_enumerate(surface, bound, gradings=None):
+        enumerated[surface, bound] += 1
+        return real_enumerate(surface, bound, gradings)
+
     monkeypatch.setattr(verify, "build_module", counting)
+    # build_module and enumerate_matchings each look the name up in
+    # their own module.
+    monkeypatch.setattr(tqftcore, "enumerate_dividing_sets", counting_enumerate)
+    monkeypatch.setattr(surfaces, "enumerate_dividing_sets", counting_enumerate)
     results = verify.run_suite("all")
     assert len(results) == 11
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     assert built and max(built.values()) == 1
+    # Each disk is enumerated by its one build, and disks 4, 6 and 8 once
+    # more by the independent sub-disk oracle.
+    assert {n: enumerated[disk(2 * n), 0] for n in range(1, 7)} == {
+        1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1,
+    }
 
     # The memo lives for one run: the next run builds again.
     verify.run_suite("disk")
