@@ -76,9 +76,7 @@ def render_matching(chords, num_slots: int) -> str:
                 row[2 * b] = "\\"
                 for x in range(2 * a + 1, 2 * b):
                     row[x] = "-"
-            elif h < level:
-                pass
-            else:
+            elif h > level:
                 row[2 * a] = "|"
                 row[2 * b] = "|"
         rows.append("".join(row).rstrip())
@@ -87,6 +85,11 @@ def render_matching(chords, num_slots: int) -> str:
         labels[2 * i] = str(i % 10)
     rows.append("".join(labels).rstrip())
     return "\n".join(rows)
+
+
+def _bits(coords: int, rank: int) -> str:
+    """Coordinates over rank basis classes, basis class 0 first."""
+    return format(coords, f"0{max(rank, 1)}b")[::-1]
 
 
 def _surface_from_args(args) -> "MarkedSurface":
@@ -165,7 +168,7 @@ def cmd_class(args) -> int:
     surface, k = fileio.dividing_set_from_dict(data)
     module = build_module(surface, args.bound)
     vector = class_of(module, k)
-    bits = format(vector.coords, f"0{max(module.rank, 1)}b")[::-1]
+    bits = _bits(vector.coords, module.rank)
     if args.format == "machine":
         print(json.dumps(
             {"grading": vector.grading, "zero": vector.is_zero, "coordinates": bits},
@@ -198,17 +201,13 @@ def cmd_glue(args) -> int:
         payload = {
             "source_rank": m_src.rank,
             "target_rank": m_tgt.rank,
-            "columns": [
-                format(c, f"0{max(m_tgt.rank, 1)}b")[::-1]
-                for c in result.basis_columns
-            ],
+            "columns": [_bits(c, m_tgt.rank) for c in result.basis_columns],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"map from rank {m_src.rank} to rank {m_tgt.rank}")
         for pos, col in enumerate(result.basis_columns):
-            bits = format(col, f"0{max(m_tgt.rank, 1)}b")[::-1]
-            print(f"basis {pos} -> {bits}")
+            print(f"basis {pos} -> {_bits(col, m_tgt.rank)}")
     return 0
 
 
