@@ -539,8 +539,8 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
             ends.append(b)
             slot += 1
         else:
-            # The open ends are distinct and lie in [slot, count), so
-            # they close the remaining slots when there are enough.
+            # The open ends are distinct and lie in [slot, count), so they
+            # close the remaining slots exactly when there are that many.
             if len(ends) == count - slot:
                 continue
         if chords != tuple(sorted(chords)) or not all(itertools.starmap(operator.lt, chords)):
