@@ -32,9 +32,7 @@ from .surfaces import (
     PLAIN,
     DividingSet,
     MarkedSurface,
-    SurfaceError,
     make_dividing_set,
-    validate_surface,
 )
 from .tqftcore import TqftModule
 
@@ -132,9 +130,7 @@ def surface_from_dict(data: Any) -> MarkedSurface:
         words.append(tuple(word))
     if next(labels_iter, None) is not None:
         raise FormatError("labels list is longer than the plain tokens")
-    surface = MarkedSurface(tuple(words), tuple(pairs))
-    validate_surface(surface)
-    return surface
+    return MarkedSurface(tuple(words), tuple(pairs))
 
 
 def dividing_set_to_dict(surface: MarkedSurface, k: DividingSet) -> dict:

@@ -28,7 +28,6 @@ from .surfaces import (
     _trace_boundary,
     layout_of,
     make_dividing_set,
-    validate_surface,
 )
 from .tqftcore import BoundExceededError, ClassVector, TqftModule, class_of
 
@@ -119,7 +118,6 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
     mark i of gamma is identified with mark q-1-i of gamma_prime.
     """
     surface = datum.source
-    validate_surface(surface)
     g, gp = datum.gamma, datum.gamma_prime
     int_g = _arc_interior(surface, g)
     int_gp = _arc_interior(surface, gp)
@@ -149,7 +147,6 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
         (token_map[pos_a], token_map[pos_b]) for pos_a, pos_b in surface.pairs
     ) + (seam,)
     target = MarkedSurface(words, pairs)
-    validate_surface(target)
 
     seam_slots = {
         ("m", arc.piece, i): ("x", seam_pair, side, j)
@@ -228,15 +225,14 @@ def glue_map(info: GlueInfo, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult
 
 def _infer_labels(words, pairs):
     """Fill unknown plain labels (stored as 0) from boundary alternation."""
-    trial = MarkedSurface(words, pairs)
     resolved = {}
-    for n_marks, plains in _trace_boundary(trial):
+    for n_marks, plains in _trace_boundary(words, pairs):
         if not n_marks:
             raise GluingError("a boundary circle has no marked points after cutting")
         bases = {
-            trial.token(*pos)[1] * (-1) ** sector
-            for pos, sector in plains
-            if trial.token(*pos)[1]
+            words[p][i][1] * (-1) ** sector
+            for (p, i), sector in plains
+            if words[p][i][1]
         }
         if len(bases) > 1:
             raise GluingError(
@@ -270,7 +266,6 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
     rejected when the arc's endpoint sectors carry equal labels (then no
     dividing set crosses it an odd number of times).
     """
-    validate_surface(surface)
     if not (0 <= pair_id < surface.num_pairs):
         raise GluingError(f"no identification pair {pair_id}")
     cut_positions = set(surface.pairs[pair_id])
@@ -290,7 +285,6 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
     )
     words = _infer_labels(new_words, pairs)
     cut = MarkedSurface(words, pairs)
-    validate_surface(cut)
     (pa, ia), (pb, ib) = surface.pairs[pair_id]
     (qa, ja), (qb, jb) = token_map[(pa, ia)], token_map[(pb, ib)]
     reglue = GluingDatum(
@@ -316,15 +310,13 @@ class CutReport:
         )
 
 
-def cut_check(surface: MarkedSurface, pair_id: int, bound: int) -> CutReport:
-    """Verify the cutting isomorphism along one identification pair."""
-    from .tqftcore import build_module
-
-    m = build_module(surface, bound)
+def cut_check(build, surface: MarkedSurface, pair_id: int, bound: int) -> CutReport:
+    """Verify the cutting isomorphism along one pair, with modules from build."""
+    m = build(surface, bound)
     info = cut_surface(surface, pair_id)
-    m_cut = build_module(info.cut_surface, bound)
+    m_cut = build(info.cut_surface, bound)
     glue_info = glue_surfaces(info.reglue)
-    m_reglued = build_module(glue_info.target, max(bound, 1))
+    m_reglued = build(glue_info.target, max(bound, 1))
     result = glue_map(glue_info, m_cut, m_reglued)
     injective = gf2.rank(list(result.basis_columns)) == m_cut.rank
     return CutReport(m.rank, m_cut.rank, m_reglued.rank, injective)
@@ -358,14 +350,12 @@ def attach_arc_datum(n: int, position: int) -> GluingDatum:
     return GluingDatum(source, gamma, gamma_prime)
 
 
-def attach_arc_map(n: int, position: int):
+def attach_arc_map(build, n: int, position: int):
     """(glue result, source module at bound 0, target at bound 2) for one attachment."""
-    from .tqftcore import build_module
-
     datum = attach_arc_datum(n, position)
     info = glue_surfaces(datum)
-    m_src = build_module(datum.source, 0)
-    m_tgt = build_module(info.target, 2)
+    m_src = build(datum.source, 0)
+    m_tgt = build(info.target, 2)
     return glue_map(info, m_src, m_tgt), m_src, m_tgt
 
 
@@ -378,15 +368,15 @@ _MIDDLE_MATCHINGS = (
 )
 
 
-def attachment_table() -> tuple[tuple[ClassVector, ...], ...]:
+def attachment_table(build) -> tuple[tuple[ClassVector, ...], ...]:
     """Images of the middle matchings of disk(6) under the arc attachments.
 
-    Row j is attach_arc_map(3, j); column c is the image of
+    Row j is attach_arc_map(build, 3, j); column c is the image of
     _MIDDLE_MATCHINGS[c] beside the small disk's chord.
     """
     table = []
     for j in range(3):
-        result, m_src, _ = attach_arc_map(3, j)
+        result, m_src, _ = attach_arc_map(build, 3, j)
         table.append(tuple(
             result.image_of(m_src, make_dividing_set((), [chords, [(0, 1)]]))
             for chords in _MIDDLE_MATCHINGS

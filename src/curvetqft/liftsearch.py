@@ -241,9 +241,10 @@ def mod2_consistency(problem: LiftProblem) -> tuple:
     problem then encodes the wrong maps.
     """
     from .gluemaps import attachment_table
+    from .tqftcore import build_module
 
     computed = tuple(tuple(0 if v.is_zero else 1 for v in row)
-                     for row in attachment_table())
+                     for row in attachment_table(build_module))
     if computed != problem.pattern:
         raise LiftError(
             f"incidence pattern {problem.pattern} does not match the "

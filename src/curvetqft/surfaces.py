@@ -62,8 +62,6 @@ def mark() -> Token:
 
 
 def plain(label: int) -> Token:
-    if label not in (POS, NEG):
-        raise SurfaceError(f"plain label must be +1 or -1, got {label!r}")
     return (PLAIN, label)
 
 
@@ -78,13 +76,17 @@ class MarkedSurface:
     words[p] is the cyclic boundary word of piece p.  pairs[k] is the
     ordered pair of (piece, token_index) positions of the two segments
     glued by identification k; the first is traversed forward and the
-    second backward.
+    second backward.  Construction runs validate_surface, so every
+    MarkedSurface is a valid sutured surface.
     """
 
     words: tuple[tuple[Token, ...], ...]
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     # crossing vector -> SlotLayout; it lives as long as the surface does.
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        validate_surface(self)
 
     def token(self, piece: int, idx: int) -> Token:
         return self.words[piece][idx]
@@ -226,23 +228,23 @@ class SurfaceInfo:
     components: tuple[tuple[int, ...], ...]
 
 
-def _trace_boundary(surface: MarkedSurface) -> list[tuple[int, list]]:
-    """Boundary circles of the glued surface as (mark count, plain sectors).
+def _trace_boundary(words, pairs) -> list[tuple[int, list]]:
+    """Boundary circles of the glued words as (mark count, plain sectors).
 
     Each circle lists its plain tokens as (position, sector), where the
     sector counts the marks passed since the circle's first mark, from 0.
     On a well-labelled circle label * (-1)**sector is constant.  When the
     walk reaches an identification segment it continues after the partner
     segment, because a segment's start corner is glued to its partner's
-    end corner.
+    end corner.  Plain labels are not read, so they may still be unknown.
     """
     partner = {}
-    for pos_a, pos_b in surface.pairs:
+    for pos_a, pos_b in pairs:
         partner[pos_a] = pos_b
         partner[pos_b] = pos_a
     seen: set[tuple[int, int]] = set()
     circles = []
-    for piece, word in enumerate(surface.words):
+    for piece, word in enumerate(words):
         for start in range(len(word)):
             if word[start][0] == IDENT or (piece, start) in seen:
                 continue
@@ -251,18 +253,18 @@ def _trace_boundary(surface: MarkedSurface) -> list[tuple[int, list]]:
             while (p, i) not in seen:
                 seen.add((p, i))
                 walk.append((p, i))
-                i = (i + 1) % len(surface.words[p])
-                while surface.token(p, i)[0] == IDENT:
+                i = (i + 1) % len(words[p])
+                while words[p][i][0] == IDENT:
                     p, i = partner[(p, i)]
-                    i = (i + 1) % len(surface.words[p])
-            first = next((j for j, pos in enumerate(walk) if surface.token(*pos)[0] == MARK), 0)
+                    i = (i + 1) % len(words[p])
+            first = next((j for j, (p, i) in enumerate(walk) if words[p][i][0] == MARK), 0)
             sector = -1
             plains = []
-            for pos in walk[first:] + walk[:first]:
-                if surface.token(*pos)[0] == MARK:
+            for p, i in walk[first:] + walk[:first]:
+                if words[p][i][0] == MARK:
                     sector += 1
                 else:
-                    plains.append((pos, sector))
+                    plains.append(((p, i), sector))
             circles.append((sector + 1, plains))
     return circles
 
@@ -278,7 +280,11 @@ def _surface_components(surface: MarkedSurface) -> list[tuple[int, ...]]:
 
 
 def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
-    """Check all marked-surface invariants; raise SurfaceError on failure."""
+    """Check all marked-surface invariants; raise SurfaceError on failure.
+
+    Each token must be (MARK,), (PLAIN, +1 or -1) or (IDENT, k) where
+    pairs[k] names it.  Every MarkedSurface runs this when constructed.
+    """
     errors = []
     seen_positions: dict[tuple[int, int], int] = {}
     for k, (pos_a, pos_b) in enumerate(surface.pairs):
@@ -298,14 +304,16 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
         if not word:
             errors.append(f"piece {p} has an empty boundary word")
         for i, tok in enumerate(word):
-            if tok[0] == IDENT and (p, i) not in seen_positions:
+            if (p, i) in seen_positions or tok in ((MARK,), (PLAIN, POS), (PLAIN, NEG)):
+                continue
+            if isinstance(tok, tuple) and tok[:1] == (IDENT,):
                 errors.append(f"identification segment at {(p, i)} is unpaired")
-            elif tok[0] not in (MARK, PLAIN, IDENT):
+            else:
                 errors.append(f"unknown token {tok!r} at {(p, i)}")
     if errors:
         raise SurfaceError("; ".join(errors))
 
-    circles = _trace_boundary(surface)
+    circles = _trace_boundary(surface.words, surface.pairs)
     for n_marks, plains in circles:
         if n_marks % 2 or n_marks < 2:
             errors.append(f"odd or deficient marked-point count {n_marks} on a boundary circle")
@@ -515,6 +523,10 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
     (its marks plus the crossings of its segments).  Returns k's slot
     layout, which is built only once k has passed.
     """
+    try:
+        hash(k)
+    except TypeError:
+        raise DividingSetError("a dividing set must hold tuples; use make_dividing_set") from None
     _check_length(surface, k.crossings)
     if len(k.chords) != surface.num_pieces:
         raise DividingSetError("chord data does not cover every piece")
@@ -621,7 +633,7 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
     expected = surface.euler_characteristic() + num_marks(surface) // 2
     got = sum(chi.values())
     if got != expected:
-        raise DividingSetError(
+        raise RuntimeError(
             f"internal Euler bookkeeping failed: regions sum to {got}, expected {expected}"
         )
     return tuple(regions)
@@ -678,7 +690,7 @@ def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None
 # ---------------------------------------------------------------------------
 
 def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
-    """Non-crossing perfect matchings of range(num_slots), as chord tuples.
+    """Non-crossing perfect matchings of range(num_slots), as ascending chord tuples.
 
     Matchings with a chord (a, a+1), a in forbidden, are never built: the
     recursion pairs ranges of consecutive slots, so such a chord is always
@@ -686,10 +698,6 @@ def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
     """
     if num_slots % 2:
         return
-    if num_slots == 0:
-        yield ()
-        return
-    slots = list(range(num_slots))
 
     def rec(points):
         if not points:
@@ -705,8 +713,7 @@ def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
                 for rp in rec(right):
                     yield ((first, points[j]),) + lp + rp
 
-    for pairing in rec(slots):
-        yield tuple(sorted(pairing))
+    yield from rec(range(num_slots))
 
 
 def enumerate_matchings(n: int) -> list[DividingSet]:
@@ -848,7 +855,6 @@ def enumerate_dividing_sets(
     """
     if bound < 0:
         raise DividingSetError(f"crossing bound must be >= 0, got {bound}")
-    validate_surface(surface)
     if gradings is None:
         gradings = {}
     out = []

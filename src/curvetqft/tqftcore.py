@@ -27,7 +27,6 @@ from .surfaces import (
     euler_grading,
     num_marks,
     owned_bypass_surgeries,
-    validate_surface,
 )
 
 
@@ -107,7 +106,6 @@ def expected_graded_ranks(surface: MarkedSurface) -> dict[int, int]:
     Over all components at once: n and chi add under disjoint union, and
     so do gradings.
     """
-    validate_surface(surface)
     n = num_marks(surface) // 2 - surface.euler_characteristic()
     return {n - 2 * j: comb(n, j) for j in range(n + 1)}
 
@@ -125,7 +123,6 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
     its own; the blocks touch disjoint columns, so the merged result is
     the reduced form of all rows.
     """
-    validate_surface(surface)
     # Grading by encoding (None: uncolorable) of every dividing set this
     # build analyzes; enumeration seeds it and the surgeries extend it.
     grading_of: dict = {}

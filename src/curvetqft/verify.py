@@ -9,8 +9,9 @@ three attachment-map tables, lift infeasibility, the independent disk
 oracle, and disjoint-union multiplicativity.
 
 Every check takes one argument, build, called as build(surface, bound)
-to obtain a module.  run_suite passes a memo of build_module that lives
-for one run, so a run builds each (surface, bound) once.
+to obtain a module, and hands it on to the gluing and cutting helpers it
+calls.  run_suite passes a memo of build_module that lives for one run,
+so a run builds each (surface, bound) once.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def check_gluing_tables(build):
     ]
     got = [
         ["0" if v.is_zero else ("K+" if v.grading == 1 else "K-") for v in row]
-        for row in attachment_table()
+        for row in attachment_table(build)
     ]
     return got == expected, f"attachment tables {got}"
 
@@ -228,10 +229,10 @@ def check_multiplicativity(build):
 @_check("cutting-isomorphism")
 def check_cutting(build):
     ok = True
-    r1 = cut_check(annulus(2, 2, (1, -1)), 0, 2)
+    r1 = cut_check(build, annulus(2, 2, (1, -1)), 0, 2)
     ok &= r1.passed
-    r2 = cut_check(punctured_torus(2), 0, 2)
-    r3 = cut_check(punctured_torus(2), 1, 2)
+    r2 = cut_check(build, punctured_torus(2), 0, 2)
+    r3 = cut_check(build, punctured_torus(2), 1, 2)
     ok &= r2.passed and r3.passed
     return ok, (
         f"annulus {r1.rank_cut}={r1.rank_original}, torus arcs "

@@ -328,6 +328,18 @@ def test_internal_value_error_is_not_input_error(monkeypatch, capsys):
     assert err == "internal error: ValueError: an engine fault\n"
 
 
+def test_euler_bookkeeping_fault_is_internal(monkeypatch, capsys):
+    # Region analysis checks its Euler sum against num_marks; a mismatch
+    # is a fault of the engine, not of the input.
+    from curvetqft import surfaces
+
+    monkeypatch.setattr(surfaces, "num_marks", lambda surface: 0)
+    code, out, err = run_cli(capsys, "module", "--disk", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: internal Euler bookkeeping failed")
+
+
 def test_class_with_separate_surface_file(tmp_path, capsys):
     surface_path = tmp_path / "surface.json"
     surface_path.write_text(json.dumps({"surface": DISK4_K["surface"]}))

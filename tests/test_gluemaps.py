@@ -26,7 +26,7 @@ def test_attachment_tables():
         2: ["K+", "0", "K+"],
     }
     for j in range(3):
-        result, m_src, m_tgt = gm.attach_arc_map(3, j)
+        result, m_src, m_tgt = gm.attach_arc_map(tc.build_module, 3, j)
         assert m_tgt.rank == 2
         row = []
         for chords in (K1, K2, K3):
@@ -38,7 +38,7 @@ def test_attachment_tables():
 def test_attachment_on_any_position():
     # Positions wrap around the disk; each map must be well-defined.
     for j in range(6):
-        result, m_src, m_tgt = gm.attach_arc_map(3, j)
+        result, m_src, m_tgt = gm.attach_arc_map(tc.build_module, 3, j)
         assert m_tgt.rank == 2
         images = [v for v in result.images]
         assert any(not v.is_zero for v in images)
@@ -48,7 +48,7 @@ def test_glue_kills_exactly_circle_creators():
     # Attaching across marks (j, j+1) annihilates exactly the matchings
     # with a chord at (j, j+1).
     for j in range(4):
-        result, m_src, _ = gm.attach_arc_map(2, j)
+        result, m_src, _ = gm.attach_arc_map(tc.build_module, 2, j)
         for k in sf.enumerate_matchings(2):
             union = sf.make_dividing_set((), [k.chords[0], [(0, 1)]])
             v = result.image_of(m_src, union)
@@ -76,7 +76,7 @@ def test_disjoint_union_gluing_is_isomorphism():
 
 
 def test_gluing_sends_zero_to_zero():
-    result, m_src, m_tgt = gm.attach_arc_map(3, 0)
+    result, m_src, m_tgt = gm.attach_arc_map(tc.build_module, 3, 0)
     for gen in m_src.generators:
         src_v = tc.class_of(m_src, gen)
         if src_v.is_zero:
@@ -136,7 +136,7 @@ def test_cut_annulus_to_disk():
     cut_info = sf.validate_surface(info.cut_surface)
     assert cut_info.euler == 1
     assert cut_info.marks_per_circle == (6,)
-    report = gm.cut_check(ann, 0, 2)
+    report = gm.cut_check(tc.build_module, ann, 0, 2)
     assert report.passed
     assert report.rank_original == report.rank_cut == 4
 
@@ -163,9 +163,23 @@ def test_cut_punctured_torus_twice():
     assert m.graded_ranks() == {2: 1, 0: 2, -2: 1}
 
 
+def test_glue_and_cut_validate_only_the_surface_they_build(monkeypatch):
+    # Construction is the one check: the surface a gluing or a cut makes
+    # is validated when it is built, and nothing else is.
+    checked = []
+    real = sf.validate_surface
+    monkeypatch.setattr(sf, "validate_surface", lambda s: checked.append(s) or real(s))
+    ann = sf.annulus(2, 2, (1, -1))
+    datum = gm.attach_arc_datum(3, 0)
+    checked.clear()
+    cut = gm.cut_surface(ann, 0).cut_surface
+    glued = gm.glue_surfaces(datum).target
+    assert checked == [cut, glued]
+
+
 @pytest.mark.parametrize("pair", [0, 1])
 def test_cut_check_torus(pair):
-    report = gm.cut_check(sf.punctured_torus(2), pair, 2)
+    report = gm.cut_check(tc.build_module, sf.punctured_torus(2), pair, 2)
     assert report.passed
     assert report.rank_original == 4
 

@@ -109,6 +109,21 @@ def test_unpaired_segment_rejected():
         sf.validate_surface(sf.MarkedSurface((word,), ()))
 
 
+@pytest.mark.parametrize(
+    "word",
+    [
+        (M, (sf.PLAIN, 0), M, (sf.PLAIN, 0)),
+        ((sf.MARK, 1), P, M, N),
+        (M, P, M, N, ()),
+        (M, P, M, N, "mark"),
+    ],
+    ids=["plain-zero", "mark-with-label", "empty", "string"],
+)
+def test_malformed_token_rejected_at_construction(word):
+    with pytest.raises(sf.SurfaceError, match="unknown token"):
+        sf.MarkedSurface((word,), ())
+
+
 def test_annulus_euler_zero():
     info = sf.validate_surface(sf.annulus(2, 2))
     assert info.euler == 0
@@ -158,7 +173,10 @@ def test_noncrossing_pairings_skip_forbidden_chords(seed):
             pairing for pairing in sf.noncrossing_pairings(num_slots)
             if not any(b == a + 1 and a in forbidden for a, b in pairing)
         ]
-        assert list(sf.noncrossing_pairings(num_slots, forbidden)) == expected
+        got = list(sf.noncrossing_pairings(num_slots, forbidden))
+        assert got == expected
+        # Chords come in ascending order, as a DividingSet stores them.
+        assert all(pairing == tuple(sorted(pairing)) for pairing in got)
 
 
 @pytest.mark.parametrize("surface", [

@@ -106,6 +106,21 @@ def test_class_of_rejects_unnormalized_chords():
             tc.class_of(m, sf.DividingSet((), chords, 0))
 
 
+@pytest.mark.parametrize(
+    "k",
+    [
+        sf.DividingSet([], (((0, 1), (2, 3)),), 0),
+        sf.DividingSet((), ([(0, 1), (2, 3)],), 0),
+        sf.DividingSet((), (((0, 1), [2, 3]),), 0),
+    ],
+    ids=["crossings-list", "piece-list", "chord-list"],
+)
+def test_class_of_rejects_unhashable_sets(k):
+    m = tc.build_module(sf.disk(4), 0)
+    with pytest.raises(sf.DividingSetError, match="must hold tuples"):
+        tc.class_of(m, k)
+
+
 def _random_pairing(rng: random.Random, lo: int, hi: int) -> list:
     """A random non-crossing perfect matching of range(lo, hi)."""
     if lo >= hi:

@@ -24,7 +24,10 @@ def test_run_suite_builds_each_module_once(monkeypatch):
         enumerated[surface, bound] += 1
         return real_enumerate(surface, bound, gradings)
 
+    # The memo wraps verify.build_module; a check that bypassed it would
+    # reach tqftcore.build_module directly.
     monkeypatch.setattr(verify, "build_module", counting)
+    monkeypatch.setattr(tqftcore, "build_module", counting)
     # build_module and enumerate_matchings each look the name up in
     # their own module.
     monkeypatch.setattr(tqftcore, "enumerate_dividing_sets", counting_enumerate)
