@@ -283,23 +283,33 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
     """Check all marked-surface invariants; raise SurfaceError on failure.
 
     Each token must be (MARK,), (PLAIN, +1 or -1) or (IDENT, k) where
-    pairs[k] names it.  Every MarkedSurface runs this when constructed.
+    pairs[k] names it, and the surface must be hashable (tuples all the
+    way down).  Every MarkedSurface runs this when constructed.
     """
+    try:
+        hash(surface)
+    except TypeError:
+        raise SurfaceError("words and pairs must be tuples; a list is unhashable") from None
     errors = []
     seen_positions: dict[tuple[int, int], int] = {}
-    for k, (pos_a, pos_b) in enumerate(surface.pairs):
-        if pos_a == pos_b:
-            errors.append(f"pair {k} identifies a segment with itself")
-        for pos in (pos_a, pos_b):
-            p, i = pos
-            if not (0 <= p < surface.num_pieces and 0 <= i < len(surface.words[p])):
-                errors.append(f"pair {k} references missing token {pos}")
-                continue
-            if surface.token(p, i) != (IDENT, k):
-                errors.append(f"token at {pos} is not identification segment {k}")
-            if pos in seen_positions:
-                errors.append(f"segment {pos} belongs to more than one pair")
-            seen_positions[pos] = k
+    try:
+        for k, (pos_a, pos_b) in enumerate(surface.pairs):
+            if pos_a == pos_b:
+                errors.append(f"pair {k} identifies a segment with itself")
+            for pos in (pos_a, pos_b):
+                p, i = pos
+                if not (0 <= p < surface.num_pieces and 0 <= i < len(surface.words[p])):
+                    errors.append(f"pair {k} references missing token {pos}")
+                    continue
+                if surface.token(p, i) != (IDENT, k):
+                    errors.append(f"token at {pos} is not identification segment {k}")
+                if pos in seen_positions:
+                    errors.append(f"segment {pos} belongs to more than one pair")
+                seen_positions[pos] = k
+    except (TypeError, ValueError):
+        raise SurfaceError(
+            f"pairs must hold two (piece, token index) int positions each, got {surface.pairs!r}"
+        ) from None
     for p, word in enumerate(surface.words):
         if not word:
             errors.append(f"piece {p} has an empty boundary word")
@@ -358,7 +368,7 @@ SlotKey = tuple
 
 
 class SlotLayout:
-    """Slot indexing for a surface with a fixed crossing vector.
+    """Slot indexing and coloring for a surface with a fixed crossing vector.
 
     slots[p] lists the slot keys of piece p in boundary order.  first[p][i]
     is the number of slots of piece p before token i, so a mark at token
@@ -366,6 +376,12 @@ class SlotLayout:
     the slots from first[p][i] on.  bigon_slots[p] holds every slot a of
     piece p such that a and a+1 are crossings of one segment side: a
     chord (a, a+1) is then a bigon.
+
+    Passing a slot along a piece's boundary crosses the multicurve, so
+    whatever the chords, the face at interval i (between slot i and i+1)
+    of piece p has sign signs[p] * (-1)**(i + 1).  signs is None when no
+    dividing set with these crossings is colorable; this is the one place
+    that decides colorability.
     """
 
     def __init__(self, surface: MarkedSurface, crossings: tuple[int, ...]):
@@ -391,6 +407,65 @@ class SlotLayout:
             self.slots.append(keys)
             self.first.append(first)
             self.bigon_slots.append(frozenset(bigons))
+        self.signs: tuple[int, ...] | None = None
+        self._gap_grading = 0
+        if not any(len(keys) % 2 for keys in self.slots):
+            self._color()
+
+    def _color(self) -> None:
+        """Set signs, or leave them None when the labels admit no coloring.
+
+        Seams and labels constrain the pieces only: gap g of a seam joins
+        interval first[pa][ia] - 1 + g of pa to first[pb][ib] - 1 + r - g
+        of pb, whose signs agree for every g exactly when the pieces'
+        signs differ by (-1)**(first[pa][ia] + first[pb][ib] + r), and a
+        plain token at (p, i) lies on interval first[p][i] - 1.
+        """
+        surface = self.surface
+        uf = _ParityUnionFind(surface.num_pieces)
+        for ((pa, ia), (pb, ib)), r in zip(surface.pairs, self.crossings):
+            if not uf.union(pa, pb, (self.first[pa][ia] + self.first[pb][ib] + r) % 2):
+                return
+        anchor: dict[int, int] = {}
+        for p, word in enumerate(surface.words):
+            for i, tok in enumerate(word):
+                if tok[0] == PLAIN:
+                    root, par = uf.relation(p)
+                    sign = tok[1] * (-1) ** (self.first[p][i] + par)
+                    if anchor.setdefault(root, sign) != sign:
+                        return
+        # Every surface component holds a plain token, so every root is anchored.
+        self.signs = tuple(
+            anchor[root] * (-1) ** par for root, par in map(uf.relation, range(surface.num_pieces))
+        )
+        # A piece cut along its chords has slots/2 + 1 faces; each of a
+        # seam's r + 1 gaps glues two of them.
+        got = sum(len(keys) // 2 + 1 for keys in self.slots) - sum(r + 1 for r in self.crossings)
+        expected = surface.euler_characteristic() + num_marks(surface) // 2
+        if got != expected:
+            raise RuntimeError(
+                f"internal Euler bookkeeping failed: regions sum to {got}, expected {expected}"
+            )
+        # The gaps of a seam are charged to the faces on side pa; their
+        # signs alternate, so they cancel unless the count r + 1 is odd.
+        self._gap_grading = sum(
+            self.signs[pa] * (-1) ** self.first[pa][ia]
+            for ((pa, ia), _), r in zip(surface.pairs, self.crossings)
+            if r % 2 == 0
+        )
+
+    def grading(self, chords: tuple[tuple[Chord, ...], ...]) -> int:
+        """chi(positive regions) - chi(negative regions) for chords laid out here.
+
+        chi(region) is its number of faces less the seam gaps charged to
+        them.  Piece p has face 0 (sign signs[p]) and the inner face of
+        each chord (a, b), whose sign is signs[p] * (-1)**(a + 1).  The
+        layout must be colorable.
+        """
+        return sum(
+            s * (1 + 2 * sum(a % 2 for a, _ in piece) - len(piece))
+            for s, piece in zip(self.signs, chords)
+        ) - self._gap_grading
 
     def num_slots(self, piece: int) -> int:
         return len(self.slots[piece])
@@ -530,56 +605,74 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
     _check_length(surface, k.crossings)
     if len(k.chords) != surface.num_pieces:
         raise DividingSetError("chord data does not cover every piece")
-    if k.closed < 0:
-        raise DividingSetError("negative closed-component count")
-    if any(c < 0 for c in k.crossings):
-        raise DividingSetError("negative crossing count")
-    counts = [word.count((MARK,)) for word in surface.words]
-    for ((pa, _), (pb, _)), r in zip(surface.pairs, k.crossings):
-        counts[pa] += r
-        counts[pb] += r
-    for p, count in enumerate(counts):
-        chords = k.chords[p]
-        ends: list[int] = []  # high ends of the open chords, innermost last
-        slot = 0  # the next unvisited slot
-        for a, b in chords:
-            while ends and ends[-1] == slot:
-                ends.pop()
+    try:
+        if operator.index(k.closed) < 0:
+            raise DividingSetError("negative closed-component count")
+        if any(operator.index(c) < 0 for c in k.crossings):
+            raise DividingSetError("negative crossing count")
+        counts = [word.count((MARK,)) for word in surface.words]
+        for ((pa, _), (pb, _)), r in zip(surface.pairs, k.crossings):
+            counts[pa] += r
+            counts[pb] += r
+        for p, count in enumerate(counts):
+            chords = k.chords[p]
+            ends: list[int] = []  # high ends of the open chords, innermost last
+            slot = 0  # the next unvisited slot
+            for a, b in chords:
+                while ends and ends[-1] == slot:
+                    ends.pop()
+                    slot += 1
+                if a != slot or not a < b < (ends[-1] if ends else count):
+                    break
+                ends.append(b)
                 slot += 1
-            if a != slot or not a < b < (ends[-1] if ends else count):
-                break
-            ends.append(b)
-            slot += 1
-        else:
-            # The open ends are distinct and lie in [slot, count), so they
-            # close the remaining slots exactly when there are that many.
-            if len(ends) == count - slot:
-                continue
-        if chords != tuple(sorted(chords)) or not all(itertools.starmap(operator.lt, chords)):
+            else:
+                # The open ends are distinct and lie in [slot, count), so
+                # they close the remaining slots exactly when there are
+                # that many.
+                if len(ends) == count - slot:
+                    continue
+            if chords != tuple(sorted(chords)) or not all(itertools.starmap(operator.lt, chords)):
+                raise DividingSetError(
+                    f"piece {p}: chords are not sorted (lo, hi) pairs in ascending "
+                    "order; build the set with make_dividing_set"
+                )
             raise DividingSetError(
-                f"piece {p}: chords are not sorted (lo, hi) pairs in ascending "
-                "order; build the set with make_dividing_set"
+                f"piece {p}: chords are not a non-crossing perfect matching of its slots"
             )
+    except DividingSetError:
+        raise
+    except (TypeError, ValueError):
+        # A chord that is not a pair, or a count that is not an int, fails
+        # inside the walk; catching it here costs an accepted set nothing.
         raise DividingSetError(
-            f"piece {p}: chords are not a non-crossing perfect matching of its slots"
-        )
+            "crossings and the closed count must be ints and chords (lo, hi) int pairs"
+        ) from None
     return surface.layout(k.crossings)
 
 
 def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...] | None:
     """Regions with signs and Euler characteristics, or None if uncolorable.
 
+    The slot layout decides colorability and gives every face its sign.
     Faces of the pieces are glued along the gaps of identified segments
-    into regions; signs flip across chords, persist across gaps, and must
-    extend the plain-segment labels.  With all cells of the cut-open
-    surface open, only faces and glued gaps contribute to a region's Euler
-    characteristic, so chi(region) = #faces - #glued gaps.  Raises
-    DividingSetError when k is malformed.
+    into regions.  With all cells of the cut-open surface open, only faces
+    and glued gaps contribute to a region's Euler characteristic, so
+    chi(region) = #faces - #glued gaps.  Raises DividingSetError when k
+    is malformed.
     """
     layout = validate_dividing_set(surface, k)
+    if layout.signs is None:
+        return None
     faces = [piece_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)]
     offsets = list(itertools.accumulate((f.num_faces for f in faces), initial=0))
     num_faces = offsets[-1]
+    sign = [0] * num_faces
+    for p, f in enumerate(faces):
+        s = layout.signs[p]
+        sign[offsets[p]] = s
+        for (a, _), (inner, _) in f.chord_sides.items():
+            sign[offsets[p] + inner] = s if a % 2 else -s
     uf = _ParityUnionFind(num_faces)
     # A piece with no slots is its single face 0.
     face_of = [f.face_of_interval or (0,) for f in faces]
@@ -587,7 +680,7 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
     def face_at(piece: int, interval: int) -> int:
         return offsets[piece] + face_of[piece][interval]
 
-    # Gap edges alone join faces into regions: gap g of a segment with r
+    # Gap edges join faces into regions: gap g of a segment with r
     # crossings lies between crossings g-1 and g.  euler[f] is 1 for face
     # f less the gaps charged to it.
     euler = [1] * num_faces
@@ -600,47 +693,20 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
             euler[fa] -= 1
             uf.union(fa, fb, 0)
     region_of = [uf.relation(f)[0] for f in range(num_faces)]
-
-    for p in range(surface.num_pieces):
-        for inner, outer in faces[p].chord_sides.values():
-            if not uf.union(offsets[p] + inner, offsets[p] + outer, 1):
-                return None
-
-    # Anchor colors with the plain-segment labels.
-    anchor: dict[int, int] = {}
-    touches: set[int] = set()
-    for p, word in enumerate(surface.words):
-        for i, tok in enumerate(word):
-            if tok[0] != PLAIN:
-                continue
-            fid = face_at(p, layout.interval_for_word_position(p, i))
-            touches.add(region_of[fid])
-            root, par = uf.relation(fid)
-            sign = tok[1] if par == 0 else -tok[1]
-            if anchor.setdefault(root, sign) != sign:
-                return None
-
+    touches = {
+        region_of[face_at(p, layout.interval_for_word_position(p, i))]
+        for p, word in enumerate(surface.words)
+        for i, tok in enumerate(word)
+        if tok[0] == PLAIN
+    }
     chi: dict[int, int] = {}
     for fid, region in enumerate(region_of):
         chi[region] = chi.get(region, 0) + euler[fid]
-    regions = []
-    for region, e in chi.items():
-        root, par = uf.relation(region)
-        if root not in anchor:
-            return None
-        regions.append(Region(anchor[root] if par == 0 else -anchor[root], e, region in touches))
-
-    expected = surface.euler_characteristic() + num_marks(surface) // 2
-    got = sum(chi.values())
-    if got != expected:
-        raise RuntimeError(
-            f"internal Euler bookkeeping failed: regions sum to {got}, expected {expected}"
-        )
-    return tuple(regions)
+    return tuple(Region(sign[region], e, region in touches) for region, e in chi.items())
 
 
 def _colored(value):
-    """value, or ColoringError when region analysis found no coloring (None)."""
+    """value, or ColoringError when the slot layout admits no coloring (None)."""
     if value is None:
         raise ColoringError("no 2-coloring of the complement extends the boundary labels")
     return value
@@ -669,19 +735,19 @@ def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
 
 
 def is_colorable(surface: MarkedSurface, k: DividingSet) -> bool:
-    return analyze_regions(surface, k) is not None
+    return validate_dividing_set(surface, k).signs is not None
 
 
 def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None:
     """Grading of k, or None when k is not colorable, memoized in gradings.
 
     gradings maps encodings to gradings; its owner decides how long it
-    lives, so each dividing set is analyzed once per owner.
+    lives, so each dividing set is validated and graded once per owner.
     """
     enc = k.encode()
     if enc not in gradings:
-        regions = analyze_regions(surface, k)
-        gradings[enc] = None if regions is None else sum(r.sign * r.euler for r in regions)
+        layout = validate_dividing_set(surface, k)
+        gradings[enc] = None if layout.signs is None else layout.grading(k.chords)
     return gradings[enc]
 
 
@@ -848,10 +914,10 @@ def enumerate_dividing_sets(
     Contractible closed components are excluded (their classes vanish and
     their position is not recorded); closed components that cross
     identification segments are included.  Ordered by descending grading,
-    then by encoding.  Only bigon-free pairings are enumerated, so
-    colorability is the one filter.  When gradings is given, the grading
-    of every candidate (None for an uncolorable one) is recorded in it by
-    encoding.
+    then by encoding.  Only bigon-free pairings are enumerated, and only
+    on slot layouts that color, so every candidate is a generator.  When
+    gradings is given, the grading of every generator is recorded in it
+    by encoding.
     """
     if bound < 0:
         raise DividingSetError(f"crossing bound must be >= 0, got {bound}")
@@ -860,17 +926,17 @@ def enumerate_dividing_sets(
     out = []
     for crossings in itertools.product(range(bound + 1), repeat=surface.num_pairs):
         layout = surface.layout(crossings)
-        counts = [layout.num_slots(p) for p in range(surface.num_pieces)]
-        if any(c % 2 for c in counts):
+        if layout.signs is None:
             continue
         pairings = (
-            noncrossing_pairings(c, bigons) for c, bigons in zip(counts, layout.bigon_slots)
+            noncrossing_pairings(len(keys), bigons)
+            for keys, bigons in zip(layout.slots, layout.bigon_slots)
         )
         for chords in itertools.product(*pairings):
             k = DividingSet(crossings, chords, 0)
-            e = _grade(surface, k, gradings)
-            if e is not None:
-                out.append((-e, k.encode(), k))
+            enc = k.encode()
+            gradings[enc] = e = layout.grading(chords)
+            out.append((-e, enc, k))
     out.sort(key=lambda t: t[:2])
     return [k for _, _, k in out]
 

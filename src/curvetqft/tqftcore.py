@@ -124,7 +124,8 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
     the reduced form of all rows.
     """
     # Grading by encoding (None: uncolorable) of every dividing set this
-    # build analyzes; enumeration seeds it and the surgeries extend it.
+    # build grades; enumeration seeds it with the generators and the
+    # surgeries extend it.
     grading_of: dict = {}
     generators = tuple(enumerate_dividing_sets(surface, bound, grading_of))
     index = {g.encode(): i for i, g in enumerate(generators)}
@@ -198,9 +199,9 @@ def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
     The generators are exactly the bigon-free, colorable sets within the
     bound without contractible circles, and the grading ignores those
     circles.  So when the canonical form, circles dropped, is a generator,
-    its grading is the one the build computed.  Any other set goes
-    through region analysis, which raises ColoringError when it is not
-    colorable, and then through the bound check.
+    its grading is the one the build computed.  Any other set is graded
+    from its slot layout, which raises ColoringError when it is not
+    colorable, and then goes through the bound check.
     """
     canonical = canonicalize(module.surface, k)
     idx = module.index.get((canonical.crossings, canonical.chords, 0))

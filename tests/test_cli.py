@@ -329,8 +329,8 @@ def test_internal_value_error_is_not_input_error(monkeypatch, capsys):
 
 
 def test_euler_bookkeeping_fault_is_internal(monkeypatch, capsys):
-    # Region analysis checks its Euler sum against num_marks; a mismatch
-    # is a fault of the engine, not of the input.
+    # Coloring a slot layout checks its Euler sum against num_marks; a
+    # mismatch is a fault of the engine, not of the input.
     from curvetqft import surfaces
 
     monkeypatch.setattr(surfaces, "num_marks", lambda surface: 0)

@@ -171,3 +171,24 @@ def test_region_queries_match_reference(name):
     planar = name == "disk8" or name.startswith("attach")
     assert seen == ({True} if planar else {True, False})
 
+
+GLUED_LADDER = [
+    (sf.annulus(2, 2), 3),
+    (sf.annulus(2, 2), 4),
+    (sf.annulus(4, 4), 3),
+    (sf.punctured_torus(2), 3),
+    (sf.punctured_torus(4), 3),
+]
+
+
+def test_enumeration_grades_only_generators():
+    # Colorability is decided per crossing vector, so enumeration grades
+    # exactly the sets it returns and rejects no candidate.
+    total = 0
+    for surface, bound in GLUED_LADDER:
+        gradings = {}
+        generators = sf.enumerate_dividing_sets(surface, bound, gradings)
+        assert set(gradings) == {g.encode() for g in generators}
+        assert all(gradings[g.encode()] == sf.euler_grading(surface, g) for g in generators)
+        total += len(gradings)
+    assert total == 228

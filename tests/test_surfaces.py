@@ -124,6 +124,30 @@ def test_malformed_token_rejected_at_construction(word):
         sf.MarkedSurface((word,), ())
 
 
+def test_list_words_rejected_at_construction():
+    # Such a surface used to be built, and then failed as a dict key.
+    with pytest.raises(sf.SurfaceError, match="unhashable"):
+        sf.MarkedSurface(([M, P, M, N],), ())
+
+
+ANNULUS_WORD = sf.annulus(2, 2).words
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        (((0, 0), (0, "a")),),
+        (((0, 0), (0, 6.0)),),
+        (((0, 0), 0),),
+        ((0, 0),),
+    ],
+    ids=["string-index", "float-index", "int-position", "one-position"],
+)
+def test_malformed_pair_position_rejected_at_construction(pairs):
+    with pytest.raises(sf.SurfaceError, match="int positions"):
+        sf.MarkedSurface(ANNULUS_WORD, pairs)
+
+
 def test_annulus_euler_zero():
     info = sf.validate_surface(sf.annulus(2, 2))
     assert info.euler == 0
@@ -439,15 +463,18 @@ def test_canonical_form_is_a_bigon_free_fixed_point(data):
 
 def test_region_queries_analyze_once(monkeypatch):
     # The benchmark's tracer counts region analyses through this name.
+    # The slot layout decides colorability and the grading, so only the
+    # queries that need the regions themselves analyze them.
     surface = sf.disk(6)
     k = sf.enumerate_matchings(3)[0]
     analyze = sf.analyze_regions
     calls = []
     monkeypatch.setattr(sf, "analyze_regions", lambda s, k: calls.append(k) or analyze(s, k))
-    for query in (sf.label_regions, sf.euler_grading, sf.is_isolating, sf.is_colorable):
+    for query, count in ((sf.label_regions, 1), (sf.euler_grading, 0),
+                         (sf.is_isolating, 1), (sf.is_colorable, 0)):
         calls.clear()
         query(surface, k)
-        assert len(calls) == 1
+        assert len(calls) == count
 
 
 MALFORMED_ANNULUS_SETS = [

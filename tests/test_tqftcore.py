@@ -121,6 +121,30 @@ def test_class_of_rejects_unhashable_sets(k):
         tc.class_of(m, k)
 
 
+@pytest.mark.parametrize(
+    "k",
+    [
+        sf.DividingSet((), ((0, 1),), 0),
+        sf.DividingSet((), (((0, 1, 2),),), 0),
+        sf.DividingSet((), (((0, 1), (2, 3)),), 0.5),
+    ],
+    ids=["bare-int-chord", "three-element-chord", "fractional-closed"],
+)
+def test_class_of_rejects_malformed_sets(k):
+    # Each used to escape as a TypeError or ValueError, or (the fractional
+    # closed count) to be answered with a zero class.
+    m = tc.build_module(sf.disk(4), 0)
+    with pytest.raises(sf.DividingSetError, match="must be ints"):
+        tc.class_of(m, k)
+
+
+def test_class_of_rejects_a_fractional_crossing_count():
+    m = tc.build_module(sf.annulus(2, 2), 2)
+    k = sf.DividingSet((2.0,), (((0, 1), (2, 3), (4, 5), (6, 7)),), 0)
+    with pytest.raises(sf.DividingSetError, match="must be ints"):
+        tc.class_of(m, k)
+
+
 def _random_pairing(rng: random.Random, lo: int, hi: int) -> list:
     """A random non-crossing perfect matching of range(lo, hi)."""
     if lo >= hi:
