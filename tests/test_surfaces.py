@@ -14,7 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvetqft import surfaces as sf
+from curvetqft.cli import _surface_from_args, build_parser
 from curvetqft.gluemaps import attach_arc_datum, glue_surfaces
+from test_digests import DIGESTS, REGION_SURFACES, _random_sets
 
 
 # ---------------------------------------------------------------------------
@@ -653,15 +655,49 @@ def test_bypass_triple_is_three_cycle():
         assert frozenset(members - {chords}) in seen
 
 
+# Module digest ladder of test_digests, as (surface, bound).
+MODULE_DIGEST_CASES = [
+    (_surface_from_args(args), args.bound)
+    for args in (build_parser().parse_args(["module", *flags]) for flags in DIGESTS)
+]
+BYPASS_SETS_PER_SURFACE = 200
+
+
 def test_bypass_preserves_grading_and_slots():
-    surface = sf.disk(8)
-    for k in sf.enumerate_matchings(4):
+    # Every nontrivial arc, from either side, on every colorable set gives
+    # a triple of colorable sets with one grading: a rotation keeps k's
+    # crossings, so its slot layout and coloring, and the six endpoints
+    # alternate in parity, so each rotation has as many odd low ends.
+    # Bigon removal lowers a crossing count by 2 and keeps the grading
+    # unless it closes a strand into a contractible circle.
+    rng = random.Random(7)
+    sets = [
+        (surface, s)
+        for surface in REGION_SURFACES
+        for k in _random_sets(surface, rng, BYPASS_SETS_PER_SURFACE)
+        for s in (k, sf.canonicalize(surface, k))
+    ] + [
+        (surface, g)
+        for surface, bound in MODULE_DIGEST_CASES
+        for g in sf.enumerate_dividing_sets(surface, bound)
+    ]
+    arcs = 0
+    for surface, k in sets:
+        if not sf.is_colorable(surface, k):
+            continue
         e = sf.euler_grading(surface, k)
-        for _, front, back in sf.iter_bypass_surgeries(surface, k):
-            for result in (front, back):
-                assert result.crossings == k.crossings
-                if result.closed == 0:
-                    assert sf.euler_grading(surface, result) == e
+        for side in ("inner", "outer"):
+            for arc in _arcs_from_side(surface, k, side):
+                if arc.cross_chord in (arc.start_chord, arc.end_chord):
+                    continue
+                arcs += 1
+                for result in sf.bypass_triple(surface, k, arc):
+                    assert all(r <= c and (c - r) % 2 == 0
+                               for r, c in zip(result.crossings, k.crossings))
+                    assert sf.is_colorable(surface, result)
+                    if result.closed == k.closed:
+                        assert sf.euler_grading(surface, result) == e
+    assert arcs == 11174
 
 
 def _arcs_from_side(surface, k, side):
