@@ -279,17 +279,29 @@ def _surface_components(surface: MarkedSurface) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
+def _is_token(tok, want: Token) -> bool:
+    """tok == want, entry types included: 1.0 and True compare equal to 1."""
+    return tok == want and all(type(a) is type(b) for a, b in zip(tok, want))
+
+
 def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
     """Check all marked-surface invariants; raise SurfaceError on failure.
 
     Each token must be (MARK,), (PLAIN, +1 or -1) or (IDENT, k) where
-    pairs[k] names it, and the surface must be hashable (tuples all the
-    way down).  Every MarkedSurface runs this when constructed.
+    pairs[k] names it, with int entries, and the surface must be hashable
+    (tuples all the way down).  Every MarkedSurface runs this when
+    constructed.
     """
     try:
         hash(surface)
     except TypeError:
         raise SurfaceError("words and pairs must be tuples; a list is unhashable") from None
+    try:
+        lengths = [len(word) for word in surface.words]
+    except TypeError:
+        raise SurfaceError(
+            f"words must be a tuple of boundary words, got {surface.words!r}"
+        ) from None
     errors = []
     seen_positions: dict[tuple[int, int], int] = {}
     try:
@@ -298,10 +310,10 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
                 errors.append(f"pair {k} identifies a segment with itself")
             for pos in (pos_a, pos_b):
                 p, i = pos
-                if not (0 <= p < surface.num_pieces and 0 <= i < len(surface.words[p])):
+                if not (0 <= p < len(lengths) and 0 <= i < lengths[p]):
                     errors.append(f"pair {k} references missing token {pos}")
                     continue
-                if surface.token(p, i) != (IDENT, k):
+                if not _is_token(surface.token(p, i), (IDENT, k)):
                     errors.append(f"token at {pos} is not identification segment {k}")
                 if pos in seen_positions:
                     errors.append(f"segment {pos} belongs to more than one pair")
@@ -314,7 +326,9 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
         if not word:
             errors.append(f"piece {p} has an empty boundary word")
         for i, tok in enumerate(word):
-            if (p, i) in seen_positions or tok in ((MARK,), (PLAIN, POS), (PLAIN, NEG)):
+            if (p, i) in seen_positions or any(
+                _is_token(tok, want) for want in ((MARK,), (PLAIN, POS), (PLAIN, NEG))
+            ):
                 continue
             if isinstance(tok, tuple) and tok[:1] == (IDENT,):
                 errors.append(f"identification segment at {(p, i)} is unpaired")
@@ -624,8 +638,9 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
                     slot += 1
                 if a != slot or not a < b < (ends[-1] if ends else count):
                     break
-                ends.append(b)
-                slot += 1
+                # index() rejects an int-valued float, which compares equal.
+                ends.append(operator.index(b))
+                slot = operator.index(a) + 1
             else:
                 # The open ends are distinct and lie in [slot, count), so
                 # they close the remaining slots exactly when there are
@@ -723,7 +738,9 @@ def euler_grading(surface: MarkedSurface, k: DividingSet) -> int:
     Contractible closed components carry no position data, so they do not
     contribute; every class with such components is zero anyway.
     """
-    return _colored(_grade(surface, k, {}))
+    layout = validate_dividing_set(surface, k)
+    _colored(layout.signs)
+    return layout.grading(k.chords)
 
 
 def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
@@ -736,19 +753,6 @@ def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
 
 def is_colorable(surface: MarkedSurface, k: DividingSet) -> bool:
     return validate_dividing_set(surface, k).signs is not None
-
-
-def _grade(surface: MarkedSurface, k: DividingSet, gradings: dict) -> int | None:
-    """Grading of k, or None when k is not colorable, memoized in gradings.
-
-    gradings maps encodings to gradings; its owner decides how long it
-    lives, so each dividing set is validated and graded once per owner.
-    """
-    enc = k.encode()
-    if enc not in gradings:
-        layout = validate_dividing_set(surface, k)
-        gradings[enc] = None if layout.signs is None else layout.grading(k.chords)
-    return gradings[enc]
 
 
 # ---------------------------------------------------------------------------
@@ -906,23 +910,17 @@ def is_efficient(surface: MarkedSurface, k: DividingSet) -> bool:
 # Enumeration of canonical dividing sets
 # ---------------------------------------------------------------------------
 
-def enumerate_dividing_sets(
-    surface: MarkedSurface, bound: int, gradings: dict | None = None
-) -> list[DividingSet]:
+def enumerate_dividing_sets(surface: MarkedSurface, bound: int) -> list[DividingSet]:
     """All canonical dividing sets with at most `bound` crossings per segment.
 
     Contractible closed components are excluded (their classes vanish and
     their position is not recorded); closed components that cross
     identification segments are included.  Ordered by descending grading,
     then by encoding.  Only bigon-free pairings are enumerated, and only
-    on slot layouts that color, so every candidate is a generator.  When
-    gradings is given, the grading of every generator is recorded in it
-    by encoding.
+    on slot layouts that color, so every candidate is a generator.
     """
     if bound < 0:
         raise DividingSetError(f"crossing bound must be >= 0, got {bound}")
-    if gradings is None:
-        gradings = {}
     out = []
     for crossings in itertools.product(range(bound + 1), repeat=surface.num_pairs):
         layout = surface.layout(crossings)
@@ -934,9 +932,7 @@ def enumerate_dividing_sets(
         )
         for chords in itertools.product(*pairings):
             k = DividingSet(crossings, chords, 0)
-            enc = k.encode()
-            gradings[enc] = e = layout.grading(chords)
-            out.append((-e, enc, k))
+            out.append((-layout.grading(chords), k.encode(), k))
     out.sort(key=lambda t: t[:2])
     return [k for _, _, k in out]
 
@@ -994,6 +990,13 @@ def _rotate(
     endpoints.  Every other chord of the piece has both ends between two
     consecutive endpoints, so it stays, as do the other pieces and the
     closed components.
+
+    Every such surgery is realizable.  front and back keep k's crossings,
+    so its slot layout and coloring.  The slots between two neighbouring
+    endpoints are matched among themselves, so the six endpoints alternate
+    in parity and each rotation has as many chords with an odd low end:
+    the grading is k's.  Reducing their bigons (_reduce) is an isotopy,
+    unless it closes a strand into a contractible circle.
     """
     q, i = _rotation(arc_chords)
     rest = [c for c in k.chords[piece] if c not in arc_chords]
@@ -1003,27 +1006,6 @@ def _rotate(
         chords[piece] = rest + [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]
         out.append(make_dividing_set(k.crossings, chords, k.closed))
     return out[0], out[1]
-
-
-def _realize(
-    surface: MarkedSurface,
-    k: DividingSet,
-    base_e: int,
-    raw: tuple[DividingSet, DividingSet],
-    gradings: dict,
-) -> tuple[DividingSet, DividingSet] | None:
-    """Canonical (front, back) of a raw surgery on k, or None if unrealizable.
-
-    Both results must be consistently colorable, and a result without new
-    contractible components must keep k's grading base_e.
-    """
-    layout = layout_of(surface, k)
-    front, back = (_reduce(layout, s) for s in raw)
-    for result in (front, back):
-        e = _grade(surface, result, gradings)
-        if e is None or (result.closed == k.closed and e != base_e):
-            return None
-    return front, back
 
 
 def bypass_triple(
@@ -1059,13 +1041,9 @@ def bypass_triple(
         raise BypassError("chord is not adjacent to the required face")
     if arc.cross_chord in (arc.start_chord, arc.end_chord):
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
-    base_e = euler_grading(surface, k)
-    realized = _realize(
-        surface, k, base_e, _rotate(k, arc.piece, chords), {k.encode(): base_e}
-    )
-    if realized is None:
-        raise BypassError("no realizable bypass arc with the given data")
-    return realized
+    _colored(layout.signs)
+    front, back = (_reduce(layout, s) for s in _rotate(k, arc.piece, chords))
+    return front, back
 
 
 def _owns(layout: SlotLayout, piece: int, arc_chords: tuple[Chord, Chord, Chord]) -> bool:
@@ -1074,10 +1052,10 @@ def _owns(layout: SlotLayout, piece: int, arc_chords: tuple[Chord, Chord, Chord]
     The members hold the three rotations of the six endpoints and share
     every other chord.  k is bigon-free, so a member holds a bigon only
     in its rotated chords.  The owner is the bigon-free member of lowest
-    rotation index.  When the triple is realizable, the owner is a
-    generator with k's crossings and grading, its outer arc over the same
-    chords is enumerated, and it realizes the same triple; so each
-    relation row is found from its owner alone.
+    rotation index.  The owner is a generator with k's crossings and
+    grading, its outer arc over the same chords is enumerated, and it
+    gives the same triple; so each relation row is found from its owner
+    alone.
     """
     q, i = _rotation(arc_chords)
     bigons = layout.bigon_slots[piece]
@@ -1086,14 +1064,13 @@ def _owns(layout: SlotLayout, piece: int, arc_chords: tuple[Chord, Chord, Chord]
     )
 
 
-def _surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict, keep):
-    """(arc, front, back) of each realizable arc on k whose chords keep accepts.
+def _surgeries(layout: SlotLayout, k: DividingSet, keep):
+    """(arc, front, back) of each nontrivial arc on k whose chords keep accepts.
 
-    keep(layout, piece, arc_chords) runs before the rotation is built.
+    k is valid and laid out by layout.  keep(layout, piece, arc_chords)
+    runs before the rotation is built.
     """
-    base_e = _colored(_grade(surface, k, gradings))
-    layout = layout_of(surface, k)
-    for p in range(surface.num_pieces):
+    for p in range(len(k.chords)):
         faces = piece_faces(layout.num_slots(p), k.chords[p])
         adjacency: dict[int, list[Chord]] = {}
         for chord, (inner, outer) in faces.chord_sides.items():
@@ -1106,13 +1083,12 @@ def _surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict, keep):
                     chords = (start, cross, end)
                     if cross in (start, end) or not keep(layout, p, chords):
                         continue
-                    realized = _realize(surface, k, base_e, _rotate(k, p, chords), gradings)
-                    if realized is not None:
-                        yield (BypassArc(p, *chords), *realized)
+                    front, back = (_reduce(layout, s) for s in _rotate(k, p, chords))
+                    yield BypassArc(p, *chords), front, back
 
 
 def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
-    """The realizable nontrivial bypass surgeries on k, as (arc, front, back).
+    """The nontrivial bypass surgeries on k, as (arc, front, back).
 
     front and back are canonical.  Trivial arcs, which start or end on the
     chord they cross, are skipped: their triple holds k twice and a set
@@ -1121,17 +1097,18 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     distinct chords, the cross chord separating the other two.  Only arcs
     starting on the outer side of the cross chord are tried: the inner
     arc (s, c, e) is the outer arc (e, c, s) reversed and gives the same
-    pair.  A surgery is kept when its results are consistently colorable
-    and grading-preserving; each call grades with a fresh map.
+    pair.  Every such surgery is realizable (see _rotate).
     """
-    return _surgeries(surface, k, {}, lambda *_: True)
+    layout = validate_dividing_set(surface, k)
+    _colored(layout.signs)
+    return _surgeries(layout, k, lambda *_: True)
 
 
-def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet, gradings: dict):
+def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     """The surgeries of iter_bypass_surgeries on a generator k that k owns.
 
-    Each realizable triple is met from exactly one of its members (see
-    _owns), so a module build that runs this over every generator, with
-    one gradings map, realizes each relation row once.
+    Each triple is met from exactly one of its members (see _owns), so a
+    module build that runs this over every generator realizes each
+    relation row once.  k must be a generator, so it is not validated.
     """
-    return _surgeries(surface, k, gradings, _owns)
+    return _surgeries(surface.layout(k.crossings), k, _owns)

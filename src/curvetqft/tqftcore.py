@@ -2,7 +2,7 @@
 
 The module attached to a marked surface at crossing bound B is the free
 GF(2) vector space on the canonical dividing sets within the bound,
-modulo one relation for every realizable bypass surgery: the three
+modulo one relation for every nontrivial bypass surgery: the three
 members of a triple sum to zero, where a member with a contractible
 closed component counts as zero.  The quotient is expected to be
 V^(n - chi), with n half the number of marked points and V = GF(2) in
@@ -119,17 +119,14 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
     """Assemble and reduce the bypass presentation at the given bound.
 
     Each relation row is realized once, from the generator that owns its
-    triple.  Rows never mix gradings, so each grading block is reduced on
-    its own; the blocks touch disjoint columns, so the merged result is
-    the reduced form of all rows.
+    triple.  Rows never mix gradings (a row that does is a surgery bug and
+    raises ModuleBuildError), so each grading block is reduced on its own;
+    the blocks touch disjoint columns, so the merged result is the reduced
+    form of all rows.  Only generators are graded.
     """
-    # Grading by encoding (None: uncolorable) of every dividing set this
-    # build grades; enumeration seeds it with the generators and the
-    # surgeries extend it.
-    grading_of: dict = {}
-    generators = tuple(enumerate_dividing_sets(surface, bound, grading_of))
+    generators = tuple(enumerate_dividing_sets(surface, bound))
     index = {g.encode(): i for i, g in enumerate(generators)}
-    gradings = tuple(grading_of[g.encode()] for g in generators)
+    gradings = tuple(surface.layout(g.crossings).grading(g.chords) for g in generators)
 
     def member_bit(k: DividingSet) -> tuple[int, int | None]:
         if k.closed > 0:
@@ -145,7 +142,7 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
 
     blocks: dict[int, set[int]] = {}  # grading -> relation rows
     for i, g in enumerate(generators):
-        for _, front, back in owned_bypass_surgeries(surface, g, grading_of):
+        for _, front, back in owned_bypass_surgeries(surface, g):
             bit_f, e_f = member_bit(front)
             bit_b, e_b = member_bit(back)
             for e_other in (e_f, e_b):

@@ -16,6 +16,7 @@ import pytest
 
 from curvetqft import surfaces as sf
 from curvetqft.gluemaps import attach_arc_datum, cut_surface, glue_surfaces
+from curvetqft.tqftcore import build_module
 
 
 class _ReferenceUnionFind:
@@ -182,13 +183,12 @@ GLUED_LADDER = [
 
 
 def test_enumeration_grades_only_generators():
-    # Colorability is decided per crossing vector, so enumeration grades
-    # exactly the sets it returns and rejects no candidate.
+    # A build grades its generators from their slot layouts and nothing
+    # else; each grading is the one the set's own query gives.
     total = 0
     for surface, bound in GLUED_LADDER:
-        gradings = {}
-        generators = sf.enumerate_dividing_sets(surface, bound, gradings)
-        assert set(gradings) == {g.encode() for g in generators}
-        assert all(gradings[g.encode()] == sf.euler_grading(surface, g) for g in generators)
-        total += len(gradings)
+        m = build_module(surface, bound)
+        assert all(m.gradings[i] == sf.euler_grading(surface, g)
+                   for i, g in enumerate(m.generators))
+        total += len(m.generators)
     assert total == 228

@@ -118,8 +118,11 @@ def test_unpaired_segment_rejected():
         ((sf.MARK, 1), P, M, N),
         (M, P, M, N, ()),
         (M, P, M, N, "mark"),
+        # Equal to (PLAIN, 1) but not an int label.
+        (M, (sf.PLAIN, 1.0), M, N),
+        (M, (sf.PLAIN, True), M, N),
     ],
-    ids=["plain-zero", "mark-with-label", "empty", "string"],
+    ids=["plain-zero", "mark-with-label", "empty", "string", "plain-float", "plain-bool"],
 )
 def test_malformed_token_rejected_at_construction(word):
     with pytest.raises(sf.SurfaceError, match="unknown token"):
@@ -148,6 +151,20 @@ ANNULUS_WORD = sf.annulus(2, 2).words
 def test_malformed_pair_position_rejected_at_construction(pairs):
     with pytest.raises(sf.SurfaceError, match="int positions"):
         sf.MarkedSurface(ANNULUS_WORD, pairs)
+
+
+def test_float_ident_token_rejected_at_construction():
+    # (IDENT, 0.0) compares equal to (IDENT, 0).
+    word = tuple((sf.IDENT, 0.0) if tok == sf.ident(0) else tok for tok in ANNULUS_WORD[0])
+    with pytest.raises(sf.SurfaceError, match="is not identification segment 0"):
+        sf.MarkedSurface((word,), sf.annulus(2, 2).pairs)
+
+
+@pytest.mark.parametrize("words", [5, (5,)], ids=["int-words", "int-word"])
+def test_words_that_are_not_words_rejected_at_construction(words):
+    # Each used to escape as a TypeError.
+    with pytest.raises(sf.SurfaceError, match="words must be a tuple of boundary words"):
+        sf.MarkedSurface(words, ())
 
 
 def test_annulus_euler_zero():

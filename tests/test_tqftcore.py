@@ -127,15 +127,21 @@ def test_class_of_rejects_unhashable_sets(k):
         sf.DividingSet((), ((0, 1),), 0),
         sf.DividingSet((), (((0, 1, 2),),), 0),
         sf.DividingSet((), (((0, 1), (2, 3)),), 0.5),
+        sf.DividingSet((), (((0.0, 1.0), (2, 3)),), 0),
+        sf.DividingSet((), (((0, 1), (2, 3.0)),), 0),
     ],
-    ids=["bare-int-chord", "three-element-chord", "fractional-closed"],
+    ids=["bare-int-chord", "three-element-chord", "fractional-closed",
+         "float-chord", "float-high-end"],
 )
 def test_class_of_rejects_malformed_sets(k):
     # Each used to escape as a TypeError or ValueError, or (the fractional
-    # closed count) to be answered with a zero class.
+    # closed count and the int-valued float chords, graded 1.0) to be
+    # answered.
     m = tc.build_module(sf.disk(4), 0)
     with pytest.raises(sf.DividingSetError, match="must be ints"):
         tc.class_of(m, k)
+    with pytest.raises(sf.DividingSetError, match="must be ints"):
+        sf.euler_grading(m.surface, k)
 
 
 def test_class_of_rejects_a_fractional_crossing_count():
@@ -333,6 +339,17 @@ def test_build_realizes_each_row_once(monkeypatch):
     monkeypatch.setattr(sf, "_rotate", lambda *args: rotations.append(args) or rotate(*args))
     m = tc.build_module(sf.disk(12), 0)
     assert len(rotations) == len(m.relation_rows) == 220
+
+
+def test_grading_fault_is_loud(monkeypatch):
+    # A grading that changes when the nested chord (0, 5) of disk(6) is
+    # rotated away puts one bypass triple across two gradings: the build
+    # must raise, not drop the row.
+    grading = sf.SlotLayout.grading
+    monkeypatch.setattr(sf.SlotLayout, "grading",
+                        lambda self, chords: grading(self, chords) + 2 * ((0, 5) in chords[0]))
+    with pytest.raises(tc.ModuleBuildError, match="bypass relation mixes gradings"):
+        tc.build_module(sf.disk(6), 0)
 
 
 @pytest.mark.parametrize(

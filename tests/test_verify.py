@@ -20,9 +20,9 @@ def test_run_suite_builds_each_module_once(monkeypatch):
     enumerated = Counter()
     real_enumerate = surfaces.enumerate_dividing_sets
 
-    def counting_enumerate(surface, bound, gradings=None):
+    def counting_enumerate(surface, bound):
         enumerated[surface, bound] += 1
-        return real_enumerate(surface, bound, gradings)
+        return real_enumerate(surface, bound)
 
     # The memo wraps verify.build_module; a check that bypassed it would
     # reach tqftcore.build_module directly.
