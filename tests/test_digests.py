@@ -56,6 +56,8 @@ DIGESTS = {
         "2c9a47f9f8fcb3e710f00a7a5d13e9d7db16453852c59a21b878ab2125407514",
     ("--disk", "12", "--bound", "0"):
         "c362972f92f19376fa07fd49373b5ce8e571f135a095cc03ba7ebd364696121f",
+    ("--disk", "16", "--bound", "0"):
+        "bb07238ac7cef77d78a16b8a0379cfca945dc8a4ac34d6c78656603944f35410",
     ("--annulus", "2", "2", "--bound", "3"):
         "dc33e5c992126f7c2e2b5bc92af0d2904e315f36549f89ee9ad29002e9786169",
     ("--annulus", "2", "2", "--bound", "4"):

@@ -672,10 +672,12 @@ def test_bypass_triple_is_three_cycle():
         assert frozenset(members - {chords}) in seen
 
 
-# Module digest ladder of test_digests, as (surface, bound).
+# Module digest ladder of test_digests, as (surface, bound), without
+# disk(16): its 1,430 generators would more than triple the arcs below.
 MODULE_DIGEST_CASES = [
     (_surface_from_args(args), args.bound)
-    for args in (build_parser().parse_args(["module", *flags]) for flags in DIGESTS)
+    for args in (build_parser().parse_args(["module", *flags])
+                 for flags in DIGESTS if flags != ("--disk", "16", "--bound", "0"))
 ]
 BYPASS_SETS_PER_SURFACE = 200
 

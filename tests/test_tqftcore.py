@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import random
+from operator import xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvetqft import gf2
 from curvetqft import surfaces as sf
@@ -20,6 +24,75 @@ def test_gf2_rref_basics():
     for i, row in enumerate(reduced):
         for j, p in enumerate(pivots):
             assert ((row >> p) & 1) == (i == j)
+
+
+def _reference_rref(rows):
+    """gf2.rref with the pivot-by-pivot back-substitution, kept verbatim."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            p = gf2.lowest_bit(row)
+            if p in basis:
+                row ^= basis[p]
+            else:
+                basis[p] = row
+                break
+    # Back-substitute so pivot columns are cleared everywhere else.
+    pivots = sorted(basis)
+    for p in pivots:
+        for q in pivots:
+            if q != p and (basis[q] >> p) & 1:
+                basis[q] ^= basis[p]
+    return [basis[p] for p in pivots], pivots
+
+
+# Each builds a fresh container, so a generator is consumed only once.
+CONTAINERS = {
+    "list": list,
+    "set": set,
+    "generator": lambda rows: (row for row in rows),
+}
+
+
+@pytest.mark.parametrize("make", CONTAINERS.values(), ids=CONTAINERS)
+@pytest.mark.parametrize("rows", [
+    [], [0], [0, 0, 0], [5, 5, 5], [0b110, 0b011, 0b101],
+    [1 << 299, 1 << 299 | 1, 1], [0b1011, 0, 0b1011, 0b0110, 0b1101],
+])
+def test_gf2_rref_edge_cases_match_reference(rows, make):
+    assert gf2.rref(make(rows)) == _reference_rref(list(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.sampled_from([1, 3, 12, 64, 300]),
+    data=st.data(),
+    make=st.sampled_from(list(CONTAINERS.values())),
+)
+def test_gf2_rref_matches_reference(width, data, make):
+    # Rows are sums of a few random rows, so zero, repeated and dependent
+    # rows all occur.
+    word = st.integers(min_value=0, max_value=(1 << width) - 1)
+    base = data.draw(st.lists(word, max_size=12))
+    masks = data.draw(st.lists(st.integers(0, (1 << len(base)) - 1), max_size=40))
+    rows = base + [
+        functools.reduce(xor, (b for j, b in enumerate(base) if m >> j & 1), 0)
+        for m in masks
+    ]
+    assert gf2.rref(make(rows)) == _reference_rref(list(rows))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gf2_rref_matches_reference_on_wide_rows(seed):
+    # Up to 300 bits and 400 rows, with rank well below the row count.
+    rng = random.Random(seed)
+    base = [rng.getrandbits(300) >> rng.randrange(300) for _ in range(150)]
+    rows = [
+        functools.reduce(xor, rng.sample(base, rng.randrange(4)), 0)
+        for _ in range(400)
+    ]
+    for make in CONTAINERS.values():
+        assert gf2.rref(make(rows)) == _reference_rref(list(rows))
 
 
 def test_gf2_reduce_is_canonical():
