@@ -31,9 +31,19 @@ def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     Returns (reduced_rows, pivots) where reduced_rows[i] has its pivot at
     bit pivots[i], pivots are strictly increasing, and no row has a set
     bit at another row's pivot.
+
+    With each pivot at its row's lowest set bit, this fully reduced form
+    of a row space is unique, so the order of the work cannot change the
+    result, only its cost.  Forward elimination takes the rows in
+    descending order, which on disk presentations ran several times
+    faster than a set's order or ascending order.  Back-substitution runs
+    from the top pivot down.  When it reaches p, the row at each higher
+    pivot q is already reduced: its lowest bit is q, and it is clear at
+    every other pivot above p.  So row p is cleared by XORing, once each,
+    the rows at the higher pivots it holds.
     """
     basis: dict[int, int] = {}
-    for row in rows:
+    for row in sorted(rows, reverse=True):
         while row:
             p = lowest_bit(row)
             if p in basis:
@@ -41,12 +51,12 @@ def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
             else:
                 basis[p] = row
                 break
-    # Back-substitute so pivot columns are cleared everywhere else.
     pivots = sorted(basis)
-    for p in pivots:
-        for q in pivots:
-            if q != p and (basis[q] >> p) & 1:
-                basis[q] ^= basis[p]
+    higher = 0  # the pivots above p, as a bitset
+    for p in reversed(pivots):
+        for q in set_bits(basis[p] & higher):
+            basis[p] ^= basis[q]
+        higher |= 1 << p
     return [basis[p] for p in pivots], pivots
 
 

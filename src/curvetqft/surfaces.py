@@ -919,8 +919,8 @@ def enumerate_dividing_sets(surface: MarkedSurface, bound: int) -> list[Dividing
     then by encoding.  Only bigon-free pairings are enumerated, and only
     on slot layouts that color, so every candidate is a generator.
     """
-    if bound < 0:
-        raise DividingSetError(f"crossing bound must be >= 0, got {bound}")
+    if not isinstance(bound, int) or bound < 0:
+        raise DividingSetError(f"crossing bound must be an int >= 0, got {bound!r}")
     out = []
     for crossings in itertools.product(range(bound + 1), repeat=surface.num_pairs):
         layout = surface.layout(crossings)
@@ -1022,7 +1022,7 @@ def bypass_triple(
     its relation is zero.
     """
     layout = validate_dividing_set(surface, k)
-    if not 0 <= arc.piece < surface.num_pieces:
+    if not (isinstance(arc.piece, int) and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
     faces = piece_faces(layout.num_slots(arc.piece), k.chords[arc.piece])
     chords = (arc.start_chord, arc.cross_chord, arc.end_chord)

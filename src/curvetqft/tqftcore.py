@@ -119,47 +119,38 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
     """Assemble and reduce the bypass presentation at the given bound.
 
     Each relation row is realized once, from the generator that owns its
-    triple.  Rows never mix gradings (a row that does is a surgery bug and
-    raises ModuleBuildError), so each grading block is reduced on its own;
-    the blocks touch disjoint columns, so the merged result is the reduced
-    form of all rows.  Only generators are graded.
+    triple, and all rows are reduced by one gf2.rref call.  A member with
+    a contractible circle contributes nothing.  A member outside the
+    generators, or of another grading than the owner, is a surgery bug
+    and raises ModuleBuildError.  Only generators are graded.
     """
     generators = tuple(enumerate_dividing_sets(surface, bound))
     index = {g.encode(): i for i, g in enumerate(generators)}
     gradings = tuple(surface.layout(g.crossings).grading(g.chords) for g in generators)
 
-    def member_bit(k: DividingSet) -> tuple[int, int | None]:
-        if k.closed > 0:
-            return 0, None
-        enc = k.encode()
-        if enc not in index:
-            raise ModuleBuildError(
-                "a bypass surgery left the enumerated generator set; "
-                "this should be impossible at a fixed bound"
-            )
-        i = index[enc]
-        return 1 << i, gradings[i]
-
-    blocks: dict[int, set[int]] = {}  # grading -> relation rows
+    rows: set[int] = set()
     for i, g in enumerate(generators):
-        for _, front, back in owned_bypass_surgeries(surface, g):
-            bit_f, e_f = member_bit(front)
-            bit_b, e_b = member_bit(back)
-            for e_other in (e_f, e_b):
-                if e_other is not None and e_other != gradings[i]:
+        for _, *members in owned_bypass_surgeries(surface, g):
+            row = 1 << i
+            for k in members:
+                if k.closed > 0:
+                    continue
+                j = index.get(k.encode())
+                if j is None:
+                    raise ModuleBuildError(
+                        "a bypass surgery left the enumerated generator set; "
+                        "this should be impossible at a fixed bound"
+                    )
+                if gradings[j] != gradings[i]:
                     raise ModuleBuildError(
                         "bypass relation mixes gradings "
-                        f"({gradings[i]} vs {e_other})"
+                        f"({gradings[i]} vs {gradings[j]})"
                     )
-            row = (1 << i) ^ bit_f ^ bit_b
+                row ^= 1 << j
             if row:
-                blocks.setdefault(gradings[i], set()).add(row)
+                rows.add(row)
 
-    reduced_at: dict[int, int] = {}  # pivot -> reduced row
-    for block in blocks.values():
-        reduced, pivots = gf2.rref(block)
-        reduced_at.update(zip(pivots, reduced))
-    pivots = sorted(reduced_at)
+    reduced, pivots = gf2.rref(rows)
     basis_indices = tuple(sorted(set(range(len(generators))).difference(pivots)))
     expected_graded = expected_graded_ranks(surface)
     expected = sum(expected_graded.values())
@@ -180,8 +171,8 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
         bound=bound,
         generators=generators,
         gradings=gradings,
-        relation_rows=tuple(sorted(set().union(*blocks.values()))),
-        reduced_rows=tuple(reduced_at[p] for p in pivots),
+        relation_rows=tuple(sorted(rows)),
+        reduced_rows=tuple(reduced),
         pivots=tuple(pivots),
         basis_indices=basis_indices,
         expected_rank=expected,
@@ -246,7 +237,7 @@ def distinct_classes(module: TqftModule, ks: list[DividingSet]) -> DistinctnessR
 # Independent disk oracle
 # ---------------------------------------------------------------------------
 
-def _subdisk_relations(n: int, matchings: list[DividingSet]) -> list[int]:
+def _subdisk_relations(matchings: list[DividingSet]) -> list[int]:
     """Relation rows on the disk from every embedded six-endpoint sub-disk.
 
     A sub-disk meeting a matching in three nested strands exists exactly
@@ -299,7 +290,7 @@ class DiskOracle:
 def disk_bruteforce_module(n: int) -> DiskOracle:
     """Quotient of the free module on matchings by all sub-disk relations."""
     matchings = enumerate_matchings(n)
-    rows = _subdisk_relations(n, matchings)
+    rows = _subdisk_relations(matchings)
     reduced, pivots = gf2.rref(rows)
     rank = len(matchings) - len(pivots)
     class_bits = tuple(

@@ -24,10 +24,8 @@ from .gluemaps import attachment_table, cut_check
 from .liftsearch import replay_certificate, search_lift, standard_problem
 from .surfaces import (
     annulus,
-    catalan,
     disjoint_union,
     disk,
-    euler_grading,
     is_isolating,
     make_dividing_set,
     punctured_torus,

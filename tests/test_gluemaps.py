@@ -141,6 +141,12 @@ def test_cut_annulus_to_disk():
     assert report.rank_original == report.rank_cut == 4
 
 
+@pytest.mark.parametrize("pair_id", [-1, 2, 0.0])
+def test_cut_rejects_a_pair_that_does_not_exist(pair_id):
+    with pytest.raises(gm.GluingError, match=f"no identification pair {pair_id}"):
+        gm.cut_surface(sf.punctured_torus(2), pair_id)
+
+
 def test_cut_rejects_even_seam():
     # The default annulus seam meets every dividing set evenly; cutting it
     # cannot produce a consistent marked surface.
@@ -198,6 +204,18 @@ def test_glue_requires_matching_marks():
         gm.glue_surfaces(gm.GluingDatum(
             source, gm.BoundaryArc(0, 1, 3), gm.BoundaryArc(1, 3, 3)
         ))
+
+
+@pytest.mark.parametrize("gamma,message", [
+    (gm.BoundaryArc(1, 1, 5), "names piece 1"),
+    (gm.BoundaryArc(0.0, 1, 5), "names piece 0.0"),
+    (gm.BoundaryArc(0, 0, 5), "inside plain segments"),
+    (gm.BoundaryArc(0, 1, 17), "inside plain segments"),
+    (gm.BoundaryArc(0, 1.0, 5), "inside plain segments"),
+])
+def test_glue_rejects_arc_off_the_boundary(gamma, message):
+    with pytest.raises(gm.GluingError, match=message):
+        gm.glue_surfaces(gm.GluingDatum(sf.disk(8), gamma, gm.BoundaryArc(0, 9, 13)))
 
 
 def test_glue_rejects_overlapping_arcs():

@@ -3,7 +3,8 @@
 The tracer and the stage replay reach into the engine by name:
 analyze_regions, canonicalize, class_of, build_module, glue_map,
 search_lift, replay_certificate, SlotLayout.interval_for_word_position,
-the two-argument enumerate_dividing_sets and iter_bypass_surgeries.  A
+the two-argument enumerate_dividing_sets and iter_bypass_surgeries,
+gf2.rref, whose pivots the replay compares with module.pivots.  A
 renamed function or a changed signature makes this run fail.
 """
 

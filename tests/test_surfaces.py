@@ -841,7 +841,7 @@ def test_bypass_arc_validation():
 def test_bypass_arc_piece_must_exist():
     surface = sf.disk(6)
     k = sf.make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
-    for piece in (-1, 1):
+    for piece in (-1, 1, 0.0):
         with pytest.raises(sf.BypassError, match=f"piece {piece} is not a piece"):
             sf.bypass_triple(surface, k, sf.BypassArc(piece, (0, 1), (2, 5), (3, 4)))
 

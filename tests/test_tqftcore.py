@@ -376,6 +376,12 @@ def test_expected_graded_ranks_are_binomial():
         assert tc.expected_rank(surface) == sum(tc.expected_graded_ranks(surface).values())
 
 
+@pytest.mark.parametrize("bound", [-1, 1.5, "1"])
+def test_build_rejects_a_bound_that_is_not_a_count(bound):
+    with pytest.raises(sf.DividingSetError, match="crossing bound must be an int >= 0"):
+        tc.build_module(sf.disk(4), bound)
+
+
 def test_graded_rank_mismatch_warns(monkeypatch):
     # Same total as the true {2: 1, 0: 2, -2: 1}, other grading pieces.
     monkeypatch.setattr(tc, "expected_graded_ranks", lambda surface: {2: 2, -2: 2})
@@ -412,6 +418,16 @@ def test_build_realizes_each_row_once(monkeypatch):
     monkeypatch.setattr(sf, "_rotate", lambda *args: rotations.append(args) or rotate(*args))
     m = tc.build_module(sf.disk(12), 0)
     assert len(rotations) == len(m.relation_rows) == 220
+
+
+@pytest.mark.parametrize("surface,bound", [(sf.disk(12), 0), (sf.annulus(2, 2), 3)])
+def test_build_reduces_all_rows_in_one_rref(monkeypatch, surface, bound):
+    calls = []
+    rref = gf2.rref
+    monkeypatch.setattr(gf2, "rref", lambda rows: calls.append(rows) or rref(rows))
+    m = tc.build_module(surface, bound)
+    assert len(calls) == 1
+    assert sorted(calls[0]) == list(m.relation_rows)
 
 
 def test_grading_fault_is_loud(monkeypatch):
