@@ -616,10 +616,10 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
         hash(k)
     except TypeError:
         raise DividingSetError("a dividing set must hold tuples; use make_dividing_set") from None
-    _check_length(surface, k.crossings)
-    if len(k.chords) != surface.num_pieces:
-        raise DividingSetError("chord data does not cover every piece")
     try:
+        _check_length(surface, k.crossings)
+        if len(k.chords) != surface.num_pieces:
+            raise DividingSetError("chord data does not cover every piece")
         if operator.index(k.closed) < 0:
             raise DividingSetError("negative closed-component count")
         if any(operator.index(c) < 0 for c in k.crossings):
@@ -901,11 +901,6 @@ def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
     return make_dividing_set(crossings, chords, closed)
 
 
-def is_efficient(surface: MarkedSurface, k: DividingSet) -> bool:
-    """Whether k is bigon-free (already in canonical position)."""
-    return _find_bigon(validate_dividing_set(surface, k), k) is None
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of canonical dividing sets
 # ---------------------------------------------------------------------------
@@ -981,15 +976,13 @@ def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
     return q, (q[5], q[1], q[3]).index(partner)
 
 
-def _rotate(
-    k: DividingSet, piece: int, arc_chords: tuple[Chord, Chord, Chord]
-) -> tuple[DividingSet, DividingSet]:
-    """Raw (front, back) of the bypass on three chords of one piece.
+def _rotate(layout: SlotLayout, k: DividingSet, piece: int, arc_chords, q, i) -> tuple:
+    """Canonical (front, back) of the bypass on three chords of one piece.
 
-    front and back hold the next two rotations of the chords' six
-    endpoints.  Every other chord of the piece has both ends between two
-    consecutive endpoints, so it stays, as do the other pieces and the
-    closed components.
+    q and i are the chords' _rotation.  front and back hold the next two
+    rotations of the six endpoints.  Every other chord of the piece has
+    both ends between two consecutive endpoints, so it stays, as do the
+    other pieces and the closed components.
 
     Every such surgery is realizable.  front and back keep k's crossings,
     so its slot layout and coloring.  The slots between two neighbouring
@@ -998,13 +991,13 @@ def _rotate(
     the grading is k's.  Reducing their bigons (_reduce) is an isotopy,
     unless it closes a strand into a contractible circle.
     """
-    q, i = _rotation(arc_chords)
     rest = [c for c in k.chords[piece] if c not in arc_chords]
     out = []
     for step in (1, 2):
-        chords = list(k.chords)
-        chords[piece] = rest + [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]
-        out.append(make_dividing_set(k.crossings, chords, k.closed))
+        # q is sorted, so each rotated chord is a (lo, hi) pair already.
+        rotated = tuple(sorted(rest + [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]))
+        chords = k.chords[:piece] + (rotated,) + k.chords[piece + 1:]
+        out.append(_reduce(layout, DividingSet(k.crossings, chords, k.closed)))
     return out[0], out[1]
 
 
@@ -1025,66 +1018,64 @@ def bypass_triple(
     if not (isinstance(arc.piece, int) and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
     faces = piece_faces(layout.num_slots(arc.piece), k.chords[arc.piece])
-    chords = (arc.start_chord, arc.cross_chord, arc.end_chord)
-    for chord in chords:
-        if chord not in faces.chord_sides:
+    arc_chords = start, cross, end = arc.start_chord, arc.cross_chord, arc.end_chord
+    for chord in arc_chords:
+        try:
+            # index() rejects an int-valued float, which would find the int chord.
+            known = chord in faces.chord_sides and tuple(map(operator.index, chord)) == chord
+        except TypeError:  # an unhashable chord, or an end that is not an int
+            known = False
+        if not known:
             raise BypassError(f"chord {chord} is not part of the dividing set")
-    inner, outer = faces.chord_sides[arc.cross_chord]
+    inner, outer = faces.chord_sides[cross]
     if arc.start_side == "inner":
         f0, f1 = inner, outer
     elif arc.start_side == "outer":
         f0, f1 = outer, inner
     else:
         raise BypassError("start_side must be 'inner' or 'outer'")
-    if f0 not in faces.chord_sides[arc.start_chord] or \
-            f1 not in faces.chord_sides[arc.end_chord]:
+    if f0 not in faces.chord_sides[start] or f1 not in faces.chord_sides[end]:
         raise BypassError("chord is not adjacent to the required face")
-    if arc.cross_chord in (arc.start_chord, arc.end_chord):
+    if cross in (start, end):
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
     _colored(layout.signs)
-    front, back = (_reduce(layout, s) for s in _rotate(k, arc.piece, chords))
-    return front, back
+    return _rotate(layout, k, arc.piece, arc_chords, *_rotation(arc_chords))
 
 
-def _owns(layout: SlotLayout, piece: int, arc_chords: tuple[Chord, Chord, Chord]) -> bool:
-    """Whether the bigon-free set holding these chords owns their triple.
+def _owns(bigons: frozenset[int], q: list[int], i: int) -> bool:
+    """Whether the bigon-free set holding rotation i of q owns its triple.
 
-    The members hold the three rotations of the six endpoints and share
-    every other chord.  k is bigon-free, so a member holds a bigon only
-    in its rotated chords.  The owner is the bigon-free member of lowest
-    rotation index.  The owner is a generator with k's crossings and
-    grading, its outer arc over the same chords is enumerated, and it
-    gives the same triple; so each relation row is found from its owner
-    alone.
+    bigons are the bigon slots of the piece.  The members hold the three
+    rotations of the six endpoints and share every other chord.  The set
+    is bigon-free, so a member holds a bigon only in its rotated chords.
+    The owner is the bigon-free member of lowest rotation index.  The
+    owner is a generator with the set's crossings and grading, its outer
+    arc over the same chords is enumerated, and it gives the same triple;
+    so each relation row is found from its owner alone.
     """
-    q, i = _rotation(arc_chords)
-    bigons = layout.bigon_slots[piece]
     return all(
         any(q[b] - q[a] == 1 and q[a] in bigons for a, b in _ROTATIONS[j]) for j in range(i)
     )
 
 
-def _surgeries(layout: SlotLayout, k: DividingSet, keep):
-    """(arc, front, back) of each nontrivial arc on k whose chords keep accepts.
+def _arcs(layout: SlotLayout, k: DividingSet):
+    """Each nontrivial outer arc on k once, as (piece, arc_chords, q, i).
 
-    k is valid and laid out by layout.  keep(layout, piece, arc_chords)
-    runs before the rotation is built.
+    arc_chords is (start, cross, end), and q, i are its _rotation.  k is
+    valid and laid out by layout.
     """
-    for p in range(len(k.chords)):
-        faces = piece_faces(layout.num_slots(p), k.chords[p])
+    for p, piece_chords in enumerate(k.chords):
+        chord_sides = piece_faces(layout.num_slots(p), piece_chords).chord_sides
         adjacency: dict[int, list[Chord]] = {}
-        for chord, (inner, outer) in faces.chord_sides.items():
-            adjacency.setdefault(inner, []).append(chord)
-            adjacency.setdefault(outer, []).append(chord)
-        for cross in k.chords[p]:
-            inner, outer = faces.chord_sides[cross]
+        for chord, sides in chord_sides.items():
+            for face in sides:
+                adjacency.setdefault(face, []).append(chord)
+        for cross, (inner, outer) in chord_sides.items():
             for start in adjacency[outer]:
                 for end in adjacency[inner]:
-                    chords = (start, cross, end)
-                    if cross in (start, end) or not keep(layout, p, chords):
-                        continue
-                    front, back = (_reduce(layout, s) for s in _rotate(k, p, chords))
-                    yield BypassArc(p, *chords), front, back
+                    if cross != start and cross != end:
+                        arc_chords = (start, cross, end)
+                        yield (p, arc_chords, *_rotation(arc_chords))
 
 
 def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
@@ -1101,14 +1092,20 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     """
     layout = validate_dividing_set(surface, k)
     _colored(layout.signs)
-    return _surgeries(layout, k, lambda *_: True)
+    return (
+        (BypassArc(p, *arc_chords), *_rotate(layout, k, p, arc_chords, q, i))
+        for p, arc_chords, q, i in _arcs(layout, k)
+    )
 
 
 def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
-    """The surgeries of iter_bypass_surgeries on a generator k that k owns.
+    """(front, back) of each surgery of iter_bypass_surgeries that k owns.
 
     Each triple is met from exactly one of its members (see _owns), so a
     module build that runs this over every generator realizes each
     relation row once.  k must be a generator, so it is not validated.
     """
-    return _surgeries(surface.layout(k.crossings), k, _owns)
+    layout = surface.layout(k.crossings)
+    for p, arc_chords, q, i in _arcs(layout, k):
+        if _owns(layout.bigon_slots[p], q, i):
+            yield _rotate(layout, k, p, arc_chords, q, i)

@@ -110,11 +110,6 @@ def expected_graded_ranks(surface: MarkedSurface) -> dict[int, int]:
     return {n - 2 * j: comb(n, j) for j in range(n + 1)}
 
 
-def expected_rank(surface: MarkedSurface) -> int:
-    """2**(n - chi), the total of the expected graded ranks."""
-    return sum(expected_graded_ranks(surface).values())
-
-
 def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModule:
     """Assemble and reduce the bypass presentation at the given bound.
 
@@ -130,7 +125,7 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
 
     rows: set[int] = set()
     for i, g in enumerate(generators):
-        for _, *members in owned_bypass_surgeries(surface, g):
+        for members in owned_bypass_surgeries(surface, g):
             row = 1 << i
             for k in members:
                 if k.closed > 0:

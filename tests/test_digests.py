@@ -41,7 +41,7 @@ from curvetqft import fileio
 from curvetqft import surfaces as sf
 from curvetqft.cli import main
 from curvetqft.gluemaps import GluingError, attach_arc_datum, cut_surface, glue_surfaces
-from curvetqft.tqftcore import build_module, expected_rank
+from curvetqft.tqftcore import build_module, expected_graded_ranks
 
 DIGESTS = {
     ("--disk", "2", "--bound", "0"):
@@ -224,13 +224,16 @@ def _random_sets(surface, rng, count):
 
 def test_canonicalize_digest():
     # Locks the ordered canonical forms, and that canonicalize returns
-    # its argument itself exactly when it has no bigon.
+    # its argument itself exactly when it has no bigon: a removal drops
+    # crossings, so the result equals k only when nothing was removed,
+    # and the result is itself bigon-free.
     rng = random.Random(6)
     digest = hashlib.sha256()
     for surface in CANONICALIZE_SURFACES:
         for k in _random_sets(surface, rng, CANONICALIZE_SETS_PER_SURFACE):
             reduced = sf.canonicalize(surface, k)
-            assert (reduced is k) == sf.is_efficient(surface, k)
+            assert (reduced is k) == (reduced == k)
+            assert sf.canonicalize(surface, reduced) is reduced
             digest.update(repr(reduced.encode()).encode())
     assert digest.hexdigest() == CANONICALIZE_DIGEST
 
@@ -355,5 +358,5 @@ def test_surface_topology_digest():
     for surface in seen:
         info = sf.validate_surface(surface)
         digest.update(repr((info.euler, info.marks_per_circle, info.components,
-                            expected_rank(surface))).encode())
+                            sum(expected_graded_ranks(surface).values()))).encode())
     assert digest.hexdigest() == TOPOLOGY_DIGEST

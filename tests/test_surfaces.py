@@ -399,8 +399,8 @@ def test_bigon_removal_on_annulus():
         (2,),
         [[(side0[1], m0), (side1[0], side1[1]), (side0[0], m1), (m2, m3)]],
     )
-    assert not sf.is_efficient(surface, wiggly)
     reduced = sf.canonicalize(surface, wiggly)
+    assert reduced is not wiggly
     straight = sf.make_dividing_set((0,), [[(0, 1), (2, 3)]])
     assert reduced == straight
 
@@ -414,8 +414,8 @@ def test_bigon_collapse_to_contractible_circle():
         (2,),
         [[(m0, m1), (m2, m3), (side0[0], side0[1]), (side1[0], side1[1])]],
     )
-    assert not sf.is_efficient(surface, k)
     reduced = sf.canonicalize(surface, k)
+    assert reduced is not k
     assert reduced.closed == 1
     assert reduced.crossings == (0,)
     assert sf.is_isolating(surface, reduced)
@@ -433,8 +433,8 @@ def test_reduction_is_confluent_on_double_bigon():
             (side1[0], side1[1]), (side1[2], side1[3]), (m2, m3),
         ]],
     )
-    assert not sf.is_efficient(surface, k)
     reduced = sf.canonicalize(surface, k)
+    assert reduced is not k
     assert reduced == sf.make_dividing_set((0,), [[(0, 1), (2, 3)]])
 
 
@@ -473,7 +473,6 @@ def chord_data(draw):
 def test_canonical_form_is_a_bigon_free_fixed_point(data):
     surface, k = data
     reduced = sf.canonicalize(surface, k)
-    assert sf.is_efficient(surface, reduced)
     assert sf.canonicalize(surface, reduced) is reduced
     for before, after in zip(k.crossings, reduced.crossings):
         assert 0 <= after <= before and (before - after) % 2 == 0
@@ -538,8 +537,9 @@ def test_validation_accepts_exactly_the_noncrossing_pairings(num_slots):
 def test_canonicalize_rejects_malformed_sets():
     surface = sf.annulus(2, 2)
     for k, message in MALFORMED_ANNULUS_SETS:
-        with pytest.raises(sf.DividingSetError, match=message):
+        with pytest.raises(sf.DividingSetError, match=message) as info:
             sf.canonicalize(surface, k)
+        assert not isinstance(info.value, sf.ColoringError)
 
 
 def test_slot_count_mismatch_is_rejected_without_a_layout():
@@ -578,10 +578,9 @@ def test_layout_rejects_a_crossing_vector_of_the_wrong_length():
     sf.euler_grading,
     sf.is_colorable,
     sf.is_isolating,
-    sf.is_efficient,
     lambda s, k: list(sf.iter_bypass_surgeries(s, k)),
     lambda s, k: sf.bypass_triple(s, k, sf.BypassArc(0, (0, 1), (2, 3), (4, 5))),
-], ids=["euler_grading", "is_colorable", "is_isolating", "is_efficient",
+], ids=["euler_grading", "is_colorable", "is_isolating",
         "iter_bypass_surgeries", "bypass_triple"])
 def test_region_queries_reject_malformed_sets(query):
     # A malformed set is a structural error, never an uncolorable set.
@@ -622,7 +621,7 @@ def test_annulus_enumeration_contains_expected():
     sets = sf.enumerate_dividing_sets(surface, 2)
     assert len(got) == len(sets)
     for k in sets:
-        assert sf.is_efficient(surface, k)
+        assert sf.canonicalize(surface, k) is k
         assert sf.is_colorable(surface, k)
         assert k.closed == 0
 
@@ -639,7 +638,7 @@ def test_enumeration_no_duplicates_torus():
     encodings = [k.encode() for k in sets]
     assert len(encodings) == len(set(encodings))
     for k in sets:
-        assert sf.is_efficient(surface, k)
+        assert sf.canonicalize(surface, k) is k
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +843,17 @@ def test_bypass_arc_piece_must_exist():
     for piece in (-1, 1, 0.0):
         with pytest.raises(sf.BypassError, match=f"piece {piece} is not a piece"):
             sf.bypass_triple(surface, k, sf.BypassArc(piece, (0, 1), (2, 5), (3, 4)))
+
+
+@pytest.mark.parametrize("chord", [(0.0, 1.0), (0, 1.0), [0, 1], None])
+def test_bypass_arc_chords_must_be_int_pairs(chord):
+    # An int-valued float finds the chord (0, 1) by equality; the triple
+    # would then carry float endpoints that validation rejects.
+    surface = sf.disk(6)
+    k = sf.make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
+    with pytest.raises(sf.BypassError, match="is not part of the dividing set"):
+        sf.bypass_triple(surface, k, sf.BypassArc(0, chord, (2, 5), (3, 4)))
+    assert sf.bypass_triple(surface, k, sf.BypassArc(0, (0, 1), (2, 5), (3, 4)))
 
 
 def test_annulus_enumeration_contains_named_configurations():

@@ -202,14 +202,16 @@ def test_class_of_rejects_unhashable_sets(k):
         sf.DividingSet((), (((0, 1), (2, 3)),), 0.5),
         sf.DividingSet((), (((0.0, 1.0), (2, 3)),), 0),
         sf.DividingSet((), (((0, 1), (2, 3.0)),), 0),
+        sf.DividingSet(5, (((0, 1), (2, 3)),), 0),
+        sf.DividingSet((), None, 0),
     ],
     ids=["bare-int-chord", "three-element-chord", "fractional-closed",
-         "float-chord", "float-high-end"],
+         "float-chord", "float-high-end", "int-crossings", "none-chords"],
 )
 def test_class_of_rejects_malformed_sets(k):
     # Each used to escape as a TypeError or ValueError, or (the fractional
     # closed count and the int-valued float chords, graded 1.0) to be
-    # answered.
+    # answered.  The last two had no length to check.
     m = tc.build_module(sf.disk(4), 0)
     with pytest.raises(sf.DividingSetError, match="must be ints"):
         tc.class_of(m, k)
@@ -283,7 +285,7 @@ def test_class_of_miss_path_errors():
     m = tc.build_module(surface, 3)
     # Canonical and within the bound, but not colorable.
     uncolorable = sf.make_dividing_set((3,), [[(0, 5), (1, 4), (2, 3), (6, 9), (7, 8)]])
-    assert sf.is_efficient(surface, uncolorable)
+    assert sf.canonicalize(surface, uncolorable) is uncolorable
     assert not sf.is_colorable(surface, uncolorable)
     with pytest.raises(sf.ColoringError):
         tc.class_of(m, uncolorable)
@@ -373,7 +375,8 @@ def test_expected_graded_ranks_are_binomial():
     union = sf.disjoint_union(sf.punctured_torus(2), sf.annulus(2, 2))
     assert tc.expected_graded_ranks(union) == {4: 1, 2: 4, 0: 6, -2: 4, -4: 1}
     for surface in (sf.disk(2), sf.disk(12), union):
-        assert tc.expected_rank(surface) == sum(tc.expected_graded_ranks(surface).values())
+        assert tc.build_module(surface, 0).expected_rank == \
+            sum(tc.expected_graded_ranks(surface).values())
 
 
 @pytest.mark.parametrize("bound", [-1, 1.5, "1"])
@@ -413,11 +416,16 @@ def test_full_rank_presets_have_binomial_graded_ranks(surface, bound):
 def test_build_realizes_each_row_once(monkeypatch):
     # Every bypass on a disk is realizable, and each triple is realized
     # from one of its three members only: one rotation per relation row.
-    rotations = []
-    rotate = sf._rotate
-    monkeypatch.setattr(sf, "_rotate", lambda *args: rotations.append(args) or rotate(*args))
+    # The six endpoints of each of the 660 outer arcs are sorted once.
+    calls = {"_rotate": 0, "_rotation": 0, "make_dividing_set": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(sf, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sf, name, counted)
     m = tc.build_module(sf.disk(12), 0)
-    assert len(rotations) == len(m.relation_rows) == 220
+    assert len(m.relation_rows) == 220
+    assert calls == {"_rotate": 220, "_rotation": 660, "make_dividing_set": 0}
 
 
 @pytest.mark.parametrize("surface,bound", [(sf.disk(12), 0), (sf.annulus(2, 2), 3)])
