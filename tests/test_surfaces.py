@@ -578,9 +578,11 @@ def test_layout_rejects_a_crossing_vector_of_the_wrong_length():
     sf.euler_grading,
     sf.is_colorable,
     sf.is_isolating,
+    # Bigon-freeness: canonicalize returns its argument exactly then.
+    lambda s, k: sf.canonicalize(s, k) is k,
     lambda s, k: list(sf.iter_bypass_surgeries(s, k)),
     lambda s, k: sf.bypass_triple(s, k, sf.BypassArc(0, (0, 1), (2, 3), (4, 5))),
-], ids=["euler_grading", "is_colorable", "is_isolating",
+], ids=["euler_grading", "is_colorable", "is_isolating", "is_efficient",
         "iter_bypass_surgeries", "bypass_triple"])
 def test_region_queries_reject_malformed_sets(query):
     # A malformed set is a structural error, never an uncolorable set.
