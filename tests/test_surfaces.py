@@ -815,6 +815,66 @@ def test_bypass_outputs_digest():
     assert digest.hexdigest() == BYPASS_DIGEST
 
 
+def _reference_arcs(layout, k):
+    """The bypass arc walk as it was before it read rotations from chord nesting.
+
+    The faces of each piece come from a stack walk over its slots, an
+    adjacency dict lists the chords bounding each face, and each arc's
+    six endpoints are sorted to find its rotation.
+    """
+    for p, piece_chords in enumerate(k.chords):
+        partner = {}
+        for a, b in piece_chords:
+            partner[a] = b
+            partner[b] = a
+        chord_sides = {}
+        stack, current, next_id = [], 0, 1
+        for s in range(layout.num_slots(p)):
+            if s < partner[s]:
+                chord_sides[s, partner[s]] = (next_id, current)
+                stack.append(current)
+                current = next_id
+                next_id += 1
+            else:
+                current = stack.pop()
+        adjacency = {}
+        for chord, sides in chord_sides.items():
+            for face in sides:
+                adjacency.setdefault(face, []).append(chord)
+        for cross, (inner, outer) in chord_sides.items():
+            for start in adjacency[outer]:
+                for end in adjacency[inner]:
+                    if cross != start and cross != end:
+                        q = sorted(s for chord in (start, cross, end) for s in chord)
+                        i = (q[5], q[1], q[3]).index(partner[q[0]])
+                        yield p, (start, cross, end), tuple(q), i
+
+
+ARC_WALK_CASES = BYPASS_DIGEST_CASES + [
+    (sf.disk(12), 0),
+    (sf.annulus(4, 4), 3),
+    (sf.punctured_torus(4), 3),
+]
+
+
+def test_arc_walk_matches_reference():
+    # The same arcs, rotations and order as the sorting walk, on every
+    # generator of these cases and on seeded random sets, canonical or not.
+    rng = random.Random(20)
+    sets = [
+        (surface, k)
+        for surface, bound in ARC_WALK_CASES
+        for k in sf.enumerate_dividing_sets(surface, bound)
+    ] + [(surface, k) for surface in REGION_SURFACES for k in _random_sets(surface, rng, 100)]
+    arcs = 0
+    for surface, k in sets:
+        layout = sf.validate_dividing_set(surface, k)
+        got = [(p, arc_chords, tuple(q), i) for p, arc_chords, q, i in sf._arcs(layout, k)]
+        assert got == list(_reference_arcs(layout, k))
+        arcs += len(got)
+    assert arcs == 4565
+
+
 def test_bypass_on_lens_circle_configuration_gives_cross_arcs():
     # The arc from one boundary-parallel arc, across the core circle, to
     # the other boundary-parallel arc replaces the lens-plus-circle
