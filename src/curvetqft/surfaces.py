@@ -764,7 +764,8 @@ def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
 
     Matchings with a chord (a, a+1), a in forbidden, are never built: the
     recursion pairs ranges of consecutive slots, so such a chord is always
-    a range's first point paired with its neighbour.
+    a range's first point paired with its neighbour.  Each split lists
+    its right range's matchings once.
     """
     if num_slots % 2:
         return
@@ -777,10 +778,9 @@ def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
         for j in range(1, len(points), 2):
             if j == 1 and first in forbidden:
                 continue
-            left = points[1:j]
-            right = points[j + 1:]
-            for lp in rec(left):
-                for rp in rec(right):
+            rights = list(rec(points[j + 1:]))
+            for lp in rec(points[1:j]):
+                for rp in rights:
                     yield ((first, points[j]),) + lp + rp
 
     yield from rec(range(num_slots))
@@ -812,6 +812,8 @@ def catalan(n: int) -> int:
 def _find_bigon(layout: SlotLayout, k: DividingSet):
     """Slot keys of the first chord joining consecutive crossings of one segment side."""
     for keys, bigons, chords in zip(layout.slots, layout.bigon_slots, k.chords):
+        if not bigons:
+            continue
         for a, b in chords:
             if b - a == 1 and a in bigons or a - b == 1 and b in bigons:
                 return keys[a], keys[b]
@@ -969,7 +971,8 @@ def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
     """The six sorted endpoints of three chords, and the rotation they hold.
 
     The chords, one separating the other two, are one rotation of their
-    six endpoints; the partner of the lowest endpoint names which.
+    six endpoints; the partner of the lowest endpoint names which.  For
+    bypass_triple, whose arc comes from the caller; _arcs needs no sort.
     """
     q = sorted(s for chord in arc_chords for s in chord)
     partner = next(b for a, b in arc_chords if a == q[0])
@@ -979,10 +982,10 @@ def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
 def _rotate(layout: SlotLayout, k: DividingSet, piece: int, arc_chords, q, i) -> tuple:
     """Canonical (front, back) of the bypass on three chords of one piece.
 
-    q and i are the chords' _rotation.  front and back hold the next two
-    rotations of the six endpoints.  Every other chord of the piece has
-    both ends between two consecutive endpoints, so it stays, as do the
-    other pieces and the closed components.
+    q and i are the chords' rotation (see _rotation).  front and back
+    hold the next two rotations of the six endpoints.  Every other chord
+    of the piece has both ends between two consecutive endpoints, so it
+    stays, as do the other pieces and the closed components.
 
     Every such surgery is realizable.  front and back keep k's crossings,
     so its slot layout and coloring.  The slots between two neighbouring
@@ -1042,7 +1045,7 @@ def bypass_triple(
     return _rotate(layout, k, arc.piece, arc_chords, *_rotation(arc_chords))
 
 
-def _owns(bigons: frozenset[int], q: list[int], i: int) -> bool:
+def _owns(bigons: frozenset[int], q, i: int) -> bool:
     """Whether the bigon-free set holding rotation i of q owns its triple.
 
     bigons are the bigon slots of the piece.  The members hold the three
@@ -1052,30 +1055,52 @@ def _owns(bigons: frozenset[int], q: list[int], i: int) -> bool:
     owner is a generator with the set's crossings and grading, its outer
     arc over the same chords is enumerated, and it gives the same triple;
     so each relation row is found from its owner alone.
+    Rotation 0 always owns (an empty all), and with no bigon slots 1 and
+    2 never do; owned_bypass_surgeries settles both without this call.
     """
     return all(
         any(q[b] - q[a] == 1 and q[a] in bigons for a, b in _ROTATIONS[j]) for j in range(i)
     )
 
 
-def _arcs(layout: SlotLayout, k: DividingSet):
+def _arcs(k: DividingSet):
     """Each nontrivial outer arc on k once, as (piece, arc_chords, q, i).
 
-    arc_chords is (start, cross, end), and q, i are its _rotation.  k is
-    valid and laid out by layout.
+    arc_chords is (start, cross, end): end is a child of cross (directly
+    inside it), start its parent (i = 0) or a sibling to the left (i = 1)
+    or right (i = 2).  So q and i (see _rotation) follow from the nesting
+    with no sort.  Parent first, then siblings, ends in chord order.  k is
+    valid.
     """
     for p, piece_chords in enumerate(k.chords):
-        chord_sides = piece_faces(layout.num_slots(p), piece_chords).chord_sides
-        adjacency: dict[int, list[Chord]] = {}
-        for chord, sides in chord_sides.items():
-            for face in sides:
-                adjacency.setdefault(face, []).append(chord)
-        for cross, (inner, outer) in chord_sides.items():
-            for start in adjacency[outer]:
-                for end in adjacency[inner]:
-                    if cross != start and cross != end:
-                        arc_chords = (start, cross, end)
-                        yield (p, arc_chords, *_rotation(arc_chords))
+        # One stack pass over the ascending chords nests them.
+        parent = {}
+        children: dict = {None: []}
+        stack: list[Chord] = []
+        for chord in piece_chords:
+            while stack and stack[-1][1] < chord[0]:
+                stack.pop()
+            up = stack[-1] if stack else None
+            parent[chord] = up
+            children[up].append(chord)
+            children[chord] = []
+            stack.append(chord)
+        for cross in piece_chords:
+            ends = children[cross]
+            if not ends:
+                continue
+            c0, c1 = cross
+            up = parent[cross]
+            if up is not None:
+                for end in ends:
+                    yield p, (up, cross, end), (up[0], c0, *end, c1, up[1]), 0
+            for start in children[up]:
+                if start < cross:
+                    for end in ends:
+                        yield p, (start, cross, end), (*start, c0, *end, c1), 1
+                elif start > cross:
+                    for end in ends:
+                        yield p, (start, cross, end), (c0, *end, c1, *start), 2
 
 
 def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
@@ -1094,7 +1119,7 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     _colored(layout.signs)
     return (
         (BypassArc(p, *arc_chords), *_rotate(layout, k, p, arc_chords, q, i))
-        for p, arc_chords, q, i in _arcs(layout, k)
+        for p, arc_chords, q, i in _arcs(k)
     )
 
 
@@ -1106,6 +1131,7 @@ def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     relation row once.  k must be a generator, so it is not validated.
     """
     layout = surface.layout(k.crossings)
-    for p, arc_chords, q, i in _arcs(layout, k):
-        if _owns(layout.bigon_slots[p], q, i):
+    for p, arc_chords, q, i in _arcs(k):
+        bigons = layout.bigon_slots[p]
+        if i == 0 or bigons and _owns(bigons, q, i):
             yield _rotate(layout, k, p, arc_chords, q, i)

@@ -206,6 +206,38 @@ def test_matchings_n3_values():
         sf.validate_dividing_set(surface, k)
 
 
+def _reference_pairings(num_slots, forbidden=frozenset()):
+    """noncrossing_pairings as it was, re-running the right range for every left matching."""
+    def rec(points):
+        if not points:
+            yield ()
+            return
+        first = points[0]
+        for j in range(1, len(points), 2):
+            if j == 1 and first in forbidden:
+                continue
+            for lp in rec(points[1:j]):
+                for rp in rec(points[j + 1:]):
+                    yield ((first, points[j]),) + lp + rp
+
+    if num_slots % 2 == 0:
+        yield from rec(range(num_slots))
+
+
+@pytest.mark.parametrize("num_slots", range(13))
+def test_noncrossing_pairings_match_reference(num_slots):
+    # The same matchings in the same order, with and without forbidden slots.
+    rng = random.Random(num_slots)
+    forbidden_sets = [frozenset(), frozenset(range(0, num_slots, 2)),
+                      frozenset(range(1, num_slots, 2)), frozenset(range(num_slots))] + [
+        frozenset(a for a in range(num_slots - 1) if rng.random() < 0.3) for _ in range(4)
+    ]
+    for forbidden in forbidden_sets:
+        got = sf.noncrossing_pairings(num_slots, forbidden)
+        assert not isinstance(got, list)
+        assert list(got) == list(_reference_pairings(num_slots, forbidden))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_noncrossing_pairings_skip_forbidden_chords(seed):
     # The same matchings in the same order as filtering the full list.
@@ -869,7 +901,7 @@ def test_arc_walk_matches_reference():
     arcs = 0
     for surface, k in sets:
         layout = sf.validate_dividing_set(surface, k)
-        got = [(p, arc_chords, tuple(q), i) for p, arc_chords, q, i in sf._arcs(layout, k)]
+        got = [(p, arc_chords, tuple(q), i) for p, arc_chords, q, i in sf._arcs(k)]
         assert got == list(_reference_arcs(layout, k))
         arcs += len(got)
     assert arcs == 4565

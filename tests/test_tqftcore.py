@@ -416,16 +416,29 @@ def test_full_rank_presets_have_binomial_graded_ranks(surface, bound):
 def test_build_realizes_each_row_once(monkeypatch):
     # Every bypass on a disk is realizable, and each triple is realized
     # from one of its three members only: one rotation per relation row.
-    # The six endpoints of each of the 660 outer arcs are sorted once.
-    calls = {"_rotate": 0, "_rotation": 0, "make_dividing_set": 0}
-    for name in calls:
+    # The arc walk reads each rotation from how the chords nest, so no
+    # endpoints are sorted and no faces are built.  An arc from the parent
+    # chord always owns its triple, and on a piece with no bigon slots no
+    # other arc does; _owns decides the rest.  A disk build never calls it,
+    # and the torus build calls it for 263 of its 622 arcs.
+    cases = [
+        (sf.disk(12), 0, 220,
+         {"_rotate": 220, "_rotation": 0, "_owns": 0, "piece_faces": 0, "make_dividing_set": 0}),
+        (sf.punctured_torus(4), 3, 280,
+         {"_rotate": 466, "_rotation": 0, "_owns": 263, "piece_faces": 0,
+          "make_dividing_set": 776}),
+    ]
+    calls = {}
+    for name in cases[0][3]:
         def counted(*args, _fn=getattr(sf, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(sf, name, counted)
-    m = tc.build_module(sf.disk(12), 0)
-    assert len(m.relation_rows) == 220
-    assert calls == {"_rotate": 220, "_rotation": 660, "make_dividing_set": 0}
+    for surface, bound, rows, expected in cases:
+        calls.update(dict.fromkeys(expected, 0))
+        m = tc.build_module(surface, bound)
+        assert len(m.relation_rows) == rows
+        assert calls == expected
 
 
 @pytest.mark.parametrize("surface,bound", [(sf.disk(12), 0), (sf.annulus(2, 2), 3)])
