@@ -907,6 +907,21 @@ def test_arc_walk_matches_reference():
     assert arcs == 4565
 
 
+def test_owned_walk_matches_reference():
+    # The owned walk rotates, in order, exactly the reference arcs whose
+    # set owns the triple: every parent arc, and a sibling arc only where
+    # _owns says so on a piece with bigon slots.
+    for surface, bound in ARC_WALK_CASES:
+        for k in sf.enumerate_dividing_sets(surface, bound):
+            layout = sf.validate_dividing_set(surface, k)
+            expected = []
+            for p, arc_chords, q, i in _reference_arcs(layout, k):
+                bigons = layout.bigon_slots[p]
+                if i == 0 or bigons and sf._owns(bigons, q, i):
+                    expected.append(sf._rotate(layout, k, p, arc_chords, q, i))
+            assert list(sf.owned_bypass_surgeries(surface, k)) == expected
+
+
 def test_bypass_on_lens_circle_configuration_gives_cross_arcs():
     # The arc from one boundary-parallel arc, across the core circle, to
     # the other boundary-parallel arc replaces the lens-plus-circle
