@@ -266,7 +266,8 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
     rejected when the arc's endpoint sectors carry equal labels (then no
     dividing set crosses it an odd number of times).
     """
-    if not (isinstance(pair_id, int) and 0 <= pair_id < surface.num_pairs):
+    if not (isinstance(pair_id, int) and not isinstance(pair_id, bool)
+            and 0 <= pair_id < surface.num_pairs):
         raise GluingError(f"no identification pair {pair_id}")
     cut_positions = set(surface.pairs[pair_id])
 

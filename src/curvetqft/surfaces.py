@@ -764,26 +764,27 @@ def noncrossing_pairings(num_slots: int, forbidden=frozenset()):
 
     Matchings with a chord (a, a+1), a in forbidden, are never built: the
     recursion pairs ranges of consecutive slots, so such a chord is always
-    a range's first point paired with its neighbour.  Each split lists
-    its right range's matchings once.
+    a range's first point paired with its neighbour.  Each sub-range's
+    matchings are listed once per call.  An odd or negative count has
+    none.
     """
     if num_slots % 2:
         return
+    memo: dict[tuple[int, int], list] = {}
 
-    def rec(points):
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for j in range(1, len(points), 2):
-            if j == 1 and first in forbidden:
-                continue
-            rights = list(rec(points[j + 1:]))
-            for lp in rec(points[1:j]):
-                for rp in rights:
-                    yield ((first, points[j]),) + lp + rp
+    def ranged(lo, hi):
+        """The matchings of range(lo, hi); empty when hi < lo."""
+        if (lo, hi) not in memo:
+            memo[lo, hi] = [()] if lo == hi else [
+                ((lo, j),) + left + right
+                for j in range(lo + 1, hi, 2)
+                if j > lo + 1 or lo not in forbidden
+                for left in ranged(lo + 1, j)
+                for right in ranged(j + 1, hi)
+            ]
+        return memo[lo, hi]
 
-    yield from rec(range(num_slots))
+    yield from ranged(0, num_slots)
 
 
 def enumerate_matchings(n: int) -> list[DividingSet]:
@@ -799,6 +800,8 @@ def enumerate_matchings(n: int) -> list[DividingSet]:
 
 def catalan(n: int) -> int:
     """Catalan number C_n, by the additive recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     c = [1] + [0] * n
     for m in range(1, n + 1):
         c[m] = sum(c[i] * c[m - 1 - i] for i in range(m))
@@ -916,7 +919,17 @@ def enumerate_dividing_sets(surface: MarkedSurface, bound: int) -> list[Dividing
     then by encoding.  Only bigon-free pairings are enumerated, and only
     on slot layouts that color, so every candidate is a generator.
     """
-    if not isinstance(bound, int) or bound < 0:
+    return list(graded_dividing_sets(surface, bound)[1])
+
+
+def graded_dividing_sets(
+    surface: MarkedSurface, bound: int
+) -> tuple[tuple[int, ...], tuple[DividingSet, ...]]:
+    """The sets of enumerate_dividing_sets and their gradings, as (gradings, sets).
+
+    The grading leads the sort key, so each set is graded once.
+    """
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise DividingSetError(f"crossing bound must be an int >= 0, got {bound!r}")
     out = []
     for crossings in itertools.product(range(bound + 1), repeat=surface.num_pairs):
@@ -931,7 +944,7 @@ def enumerate_dividing_sets(surface: MarkedSurface, bound: int) -> list[Dividing
             k = DividingSet(crossings, chords, 0)
             out.append((-layout.grading(chords), k.encode(), k))
     out.sort(key=lambda t: t[:2])
-    return [k for _, _, k in out]
+    return tuple(-t[0] for t in out), tuple(t[2] for t in out)
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +992,17 @@ def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
     return q, (q[5], q[1], q[3]).index(partner)
 
 
-def _rotate(layout: SlotLayout, k: DividingSet, piece: int, arc_chords, q, i) -> tuple:
+def _holds_bigon(bigons: frozenset[int], chords) -> bool:
+    """Whether one of the chords joins a bigon slot of its piece to the next slot."""
+    for a, b in chords:
+        if b - a == 1 and a in bigons:
+            return True
+    return False
+
+
+def _rotate(
+    layout: SlotLayout, k: DividingSet, piece: int, arc_chords, q, i, bigon_free=True
+) -> tuple:
     """Canonical (front, back) of the bypass on three chords of one piece.
 
     q and i are the chords' rotation (see _rotation).  front and back
@@ -992,15 +1015,21 @@ def _rotate(layout: SlotLayout, k: DividingSet, piece: int, arc_chords, q, i) ->
     endpoints are matched among themselves, so the six endpoints alternate
     in parity and each rotation has as many chords with an odd low end:
     the grading is k's.  Reducing their bigons (_reduce) is an isotopy,
-    unless it closes a strand into a contractible circle.
+    unless it closes a strand into a contractible circle.  When k is
+    bigon_free, a member can hold a bigon only in its rotated chords, so
+    only a member with a rotated bigon is reduced.
     """
+    bigons = layout.bigon_slots[piece]
     rest = [c for c in k.chords[piece] if c not in arc_chords]
     out = []
     for step in (1, 2):
         # q is sorted, so each rotated chord is a (lo, hi) pair already.
-        rotated = tuple(sorted(rest + [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]))
-        chords = k.chords[:piece] + (rotated,) + k.chords[piece + 1:]
-        out.append(_reduce(layout, DividingSet(k.crossings, chords, k.closed)))
+        turned = [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]
+        chords = k.chords[:piece] + (tuple(sorted(rest + turned)),) + k.chords[piece + 1:]
+        member = DividingSet(k.crossings, chords, k.closed)
+        if not bigon_free or bigons and _holds_bigon(bigons, turned):
+            member = _reduce(layout, member)
+        out.append(member)
     return out[0], out[1]
 
 
@@ -1042,7 +1071,8 @@ def bypass_triple(
     if cross in (start, end):
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
     _colored(layout.signs)
-    return _rotate(layout, k, arc.piece, arc_chords, *_rotation(arc_chords))
+    bigon_free = _find_bigon(layout, k) is None
+    return _rotate(layout, k, arc.piece, arc_chords, *_rotation(arc_chords), bigon_free)
 
 
 def _owns(bigons: frozenset[int], q, i: int) -> bool:
@@ -1056,23 +1086,26 @@ def _owns(bigons: frozenset[int], q, i: int) -> bool:
     arc over the same chords is enumerated, and it gives the same triple;
     so each relation row is found from its owner alone.
     Rotation 0 always owns (an empty all), and with no bigon slots 1 and
-    2 never do; owned_bypass_surgeries settles both without this call.
+    2 never do; owned_bypass_surgeries settles both without this call,
+    and _arcs does not even walk the arcs of the second kind.
     """
     return all(
         any(q[b] - q[a] == 1 and q[a] in bigons for a, b in _ROTATIONS[j]) for j in range(i)
     )
 
 
-def _arcs(k: DividingSet):
+def _arcs(k: DividingSet, bigon_slots=None):
     """Each nontrivial outer arc on k once, as (piece, arc_chords, q, i).
 
     arc_chords is (start, cross, end): end is a child of cross (directly
     inside it), start its parent (i = 0) or a sibling to the left (i = 1)
     or right (i = 2).  So q and i (see _rotation) follow from the nesting
     with no sort.  Parent first, then siblings, ends in chord order.  k is
-    valid.
+    valid.  Given the layout's bigon_slots, a piece with none yields its
+    parent arcs only: there no sibling arc owns its triple (see _owns).
     """
     for p, piece_chords in enumerate(k.chords):
+        siblings = bigon_slots is None or bigon_slots[p]
         # One stack pass over the ascending chords nests them.
         parent = {}
         children: dict = {None: []}
@@ -1094,6 +1127,8 @@ def _arcs(k: DividingSet):
             if up is not None:
                 for end in ends:
                     yield p, (up, cross, end), (up[0], c0, *end, c1, up[1]), 0
+            if not siblings:
+                continue
             for start in children[up]:
                 if start < cross:
                     for end in ends:
@@ -1117,8 +1152,9 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     """
     layout = validate_dividing_set(surface, k)
     _colored(layout.signs)
+    bigon_free = _find_bigon(layout, k) is None
     return (
-        (BypassArc(p, *arc_chords), *_rotate(layout, k, p, arc_chords, q, i))
+        (BypassArc(p, *arc_chords), *_rotate(layout, k, p, arc_chords, q, i, bigon_free))
         for p, arc_chords, q, i in _arcs(k)
     )
 
@@ -1128,10 +1164,12 @@ def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
 
     Each triple is met from exactly one of its members (see _owns), so a
     module build that runs this over every generator realizes each
-    relation row once.  k must be a generator, so it is not validated.
+    relation row once.  k must be a generator, so it is not validated,
+    and it is bigon-free, so _rotate reduces only members whose rotated
+    chords hold a bigon.
     """
     layout = surface.layout(k.crossings)
-    for p, arc_chords, q, i in _arcs(k):
-        bigons = layout.bigon_slots[p]
-        if i == 0 or bigons and _owns(bigons, q, i):
+    bigon_slots = layout.bigon_slots
+    for p, arc_chords, q, i in _arcs(k, bigon_slots):
+        if i == 0 or _owns(bigon_slots[p], q, i):
             yield _rotate(layout, k, p, arc_chords, q, i)

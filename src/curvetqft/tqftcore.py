@@ -22,9 +22,9 @@ from .surfaces import (
     DividingSet,
     MarkedSurface,
     canonicalize,
-    enumerate_dividing_sets,
     enumerate_matchings,
     euler_grading,
+    graded_dividing_sets,
     num_marks,
     owned_bypass_surgeries,
 )
@@ -117,11 +117,11 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
     triple, and all rows are reduced by one gf2.rref call.  A member with
     a contractible circle contributes nothing.  A member outside the
     generators, or of another grading than the owner, is a surgery bug
-    and raises ModuleBuildError.  Only generators are graded.
+    and raises ModuleBuildError.  Only generators are graded, each once,
+    by the enumeration that sorts them.
     """
-    generators = tuple(enumerate_dividing_sets(surface, bound))
+    gradings, generators = graded_dividing_sets(surface, bound)
     index = {g.encode(): i for i, g in enumerate(generators)}
-    gradings = tuple(surface.layout(g.crossings).grading(g.chords) for g in generators)
 
     rows: set[int] = set()
     for i, g in enumerate(generators):

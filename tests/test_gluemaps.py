@@ -141,7 +141,7 @@ def test_cut_annulus_to_disk():
     assert report.rank_original == report.rank_cut == 4
 
 
-@pytest.mark.parametrize("pair_id", [-1, 2, 0.0])
+@pytest.mark.parametrize("pair_id", [-1, 2, 0.0, True, False])
 def test_cut_rejects_a_pair_that_does_not_exist(pair_id):
     with pytest.raises(gm.GluingError, match=f"no identification pair {pair_id}"):
         gm.cut_surface(sf.punctured_torus(2), pair_id)

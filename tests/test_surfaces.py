@@ -224,6 +224,15 @@ def _reference_pairings(num_slots, forbidden=frozenset()):
         yield from rec(range(num_slots))
 
 
+def test_negative_counts_have_no_matchings():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sf.catalan(-1)
+    assert sf.catalan(0) == 1
+    for num_slots in (-1, -2, -4):
+        assert list(sf.noncrossing_pairings(num_slots)) == []
+    assert list(sf.noncrossing_pairings(0)) == [()]
+
+
 @pytest.mark.parametrize("num_slots", range(13))
 def test_noncrossing_pairings_match_reference(num_slots):
     # The same matchings in the same order, with and without forbidden slots.
@@ -750,6 +759,23 @@ def test_bypass_preserves_grading_and_slots():
                     if result.closed == k.closed:
                         assert sf.euler_grading(surface, result) == e
     assert arcs == 11174
+
+
+def test_bypass_members_are_canonical():
+    # A member is reduced when its rotated chords hold a bigon, and every
+    # member is when k holds one, since a chord the bypass keeps can then
+    # be a bigon.  So members are canonical whatever k is.
+    rng = random.Random(22)
+    with_bigon = 0
+    for surface in REGION_SURFACES:
+        for k in _random_sets(surface, rng, 100):
+            if not sf.is_colorable(surface, k):
+                continue
+            with_bigon += sf.canonicalize(surface, k) is not k
+            for arc, front, back in sf.iter_bypass_surgeries(surface, k):
+                for member in (front, back, *sf.bypass_triple(surface, k, arc)):
+                    assert sf.canonicalize(surface, member) is member
+    assert with_bigon
 
 
 def _arcs_from_side(surface, k, side):

@@ -379,10 +379,14 @@ def test_expected_graded_ranks_are_binomial():
             sum(tc.expected_graded_ranks(surface).values())
 
 
-@pytest.mark.parametrize("bound", [-1, 1.5, "1"])
+@pytest.mark.parametrize("bound", [-1, 1.5, "1", True, False])
 def test_build_rejects_a_bound_that_is_not_a_count(bound):
+    # A bool is an int to isinstance, but no count: True would be stored
+    # as the module's bound.
     with pytest.raises(sf.DividingSetError, match="crossing bound must be an int >= 0"):
         tc.build_module(sf.disk(4), bound)
+    with pytest.raises(sf.DividingSetError, match="crossing bound must be an int >= 0"):
+        sf.enumerate_dividing_sets(sf.disk(4), bound)
 
 
 def test_graded_rank_mismatch_warns(monkeypatch):
@@ -419,21 +423,37 @@ def test_build_realizes_each_row_once(monkeypatch):
     # The arc walk reads each rotation from how the chords nest, so no
     # endpoints are sorted and no faces are built.  An arc from the parent
     # chord always owns its triple, and on a piece with no bigon slots no
-    # other arc does; _owns decides the rest.  A disk build never calls it,
-    # and the torus build calls it for 263 of its 622 arcs.
+    # other arc does, so the walk yields no other arc there; _owns decides
+    # the rest.  A disk build never calls it, and the torus build calls it
+    # for 263 of its 606 arcs.  Only a member whose rotated chords hold a
+    # bigon is reduced, and each generator is graded once.
     cases = [
         (sf.disk(12), 0, 220,
-         {"_rotate": 220, "_rotation": 0, "_owns": 0, "piece_faces": 0, "make_dividing_set": 0}),
+         {"_rotate": 220, "_rotation": 0, "_owns": 0, "piece_faces": 0, "make_dividing_set": 0,
+          "_arcs": 220, "_reduce": 0, "grading": 132}),
         (sf.punctured_torus(4), 3, 280,
          {"_rotate": 466, "_rotation": 0, "_owns": 263, "piece_faces": 0,
-          "make_dividing_set": 776}),
+          "make_dividing_set": 776, "_arcs": 606, "_reduce": 776, "grading": 100}),
     ]
     calls = {}
-    for name in cases[0][3]:
-        def counted(*args, _fn=getattr(sf, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(sf, name, counted)
+
+    def counting(fn, name):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("_rotate", "_rotation", "_owns", "piece_faces", "make_dividing_set", "_reduce"):
+        monkeypatch.setattr(sf, name, counting(getattr(sf, name), name))
+    monkeypatch.setattr(sf.SlotLayout, "grading", counting(sf.SlotLayout.grading, "grading"))
+    arcs = sf._arcs
+
+    def counted_arcs(*args):
+        for arc in arcs(*args):
+            calls["_arcs"] += 1  # arcs yielded, not walks begun
+            yield arc
+
+    monkeypatch.setattr(sf, "_arcs", counted_arcs)
     for surface, bound, rows, expected in cases:
         calls.update(dict.fromkeys(expected, 0))
         m = tc.build_module(surface, bound)

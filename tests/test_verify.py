@@ -18,7 +18,7 @@ def test_run_suite_builds_each_module_once(monkeypatch):
         return real(surface, bound)
 
     enumerated = Counter()
-    real_enumerate = surfaces.enumerate_dividing_sets
+    real_enumerate = surfaces.graded_dividing_sets
 
     def counting_enumerate(surface, bound):
         enumerated[surface, bound] += 1
@@ -28,10 +28,10 @@ def test_run_suite_builds_each_module_once(monkeypatch):
     # reach tqftcore.build_module directly.
     monkeypatch.setattr(verify, "build_module", counting)
     monkeypatch.setattr(tqftcore, "build_module", counting)
-    # build_module and enumerate_matchings each look the name up in
-    # their own module.
-    monkeypatch.setattr(tqftcore, "enumerate_dividing_sets", counting_enumerate)
-    monkeypatch.setattr(surfaces, "enumerate_dividing_sets", counting_enumerate)
+    # build_module and enumerate_dividing_sets (through enumerate_matchings)
+    # each look the graded enumeration up in their own module.
+    monkeypatch.setattr(tqftcore, "graded_dividing_sets", counting_enumerate)
+    monkeypatch.setattr(surfaces, "graded_dividing_sets", counting_enumerate)
     results = verify.run_suite("all")
     assert len(results) == 11
     assert all(r.passed for r in results), [r for r in results if not r.passed]
