@@ -992,10 +992,10 @@ def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
     return q, (q[5], q[1], q[3]).index(partner)
 
 
-def _holds_bigon(bigons: frozenset[int], chords) -> bool:
-    """Whether one of the chords joins a bigon slot of its piece to the next slot."""
-    for a, b in chords:
-        if b - a == 1 and a in bigons:
+def _holds_bigon(bigons: frozenset[int], q, j: int) -> bool:
+    """Whether rotation j of q joins a bigon slot (of bigons) to the next slot."""
+    for a, b in _ROTATIONS[j]:
+        if q[b] - q[a] == 1 and q[a] in bigons:
             return True
     return False
 
@@ -1024,10 +1024,11 @@ def _rotate(
     out = []
     for step in (1, 2):
         # q is sorted, so each rotated chord is a (lo, hi) pair already.
-        turned = [(q[a], q[b]) for a, b in _ROTATIONS[(i + step) % 3]]
-        chords = k.chords[:piece] + (tuple(sorted(rest + turned)),) + k.chords[piece + 1:]
+        j = (i + step) % 3
+        rotated = tuple(sorted(rest + [(q[a], q[b]) for a, b in _ROTATIONS[j]]))
+        chords = k.chords[:piece] + (rotated,) + k.chords[piece + 1:]
         member = DividingSet(k.crossings, chords, k.closed)
-        if not bigon_free or bigons and _holds_bigon(bigons, turned):
+        if not bigon_free or bigons and _holds_bigon(bigons, q, j):
             member = _reduce(layout, member)
         out.append(member)
     return out[0], out[1]
@@ -1089,9 +1090,7 @@ def _owns(bigons: frozenset[int], q, i: int) -> bool:
     2 never do; owned_bypass_surgeries settles both without this call,
     and _arcs does not even walk the arcs of the second kind.
     """
-    return all(
-        any(q[b] - q[a] == 1 and q[a] in bigons for a, b in _ROTATIONS[j]) for j in range(i)
-    )
+    return all(_holds_bigon(bigons, q, j) for j in range(i))
 
 
 def _arcs(k: DividingSet, bigon_slots=None):
