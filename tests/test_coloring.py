@@ -17,6 +17,7 @@ import pytest
 from curvetqft import surfaces as sf
 from curvetqft.gluemaps import attach_arc_datum, cut_surface, glue_surfaces
 from curvetqft.tqftcore import build_module
+from test_surfaces import reference_faces
 
 
 class _ReferenceUnionFind:
@@ -44,11 +45,11 @@ class _ReferenceUnionFind:
 def reference_regions(surface, k):
     """Sorted (sign, euler, touches_boundary) of k's regions, or None if uncolorable."""
     layout = sf.validate_dividing_set(surface, k)
-    faces = [sf.piece_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)]
-    offsets = list(itertools.accumulate((f.num_faces for f in faces), initial=0))
+    faces = [reference_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)]
+    offsets = list(itertools.accumulate((n for n, _, _ in faces), initial=0))
     num_faces = offsets[-1]
     uf = _ReferenceUnionFind(num_faces)
-    face_of = [f.face_of_interval or (0,) for f in faces]
+    face_of = [face_of_interval or (0,) for _, face_of_interval, _ in faces]
 
     def face_at(piece, interval):
         return offsets[piece] + face_of[piece][interval]
@@ -65,7 +66,7 @@ def reference_regions(surface, k):
     region_of = [uf.relation(f)[0] for f in range(num_faces)]
 
     for p in range(surface.num_pieces):
-        for inner, outer in faces[p].chord_sides.values():
+        for inner, outer in faces[p][2].values():
             if not uf.union(offsets[p] + inner, offsets[p] + outer, 1):
                 return None
 

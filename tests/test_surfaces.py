@@ -63,6 +63,38 @@ def disk_region_oracle(n: int, chords):
     return len(sign_of_face), pos, neg, pos - neg
 
 
+def reference_faces(num_slots: int, chords):
+    """(num_faces, face_of_interval, chord_sides) of a piece cut along its chords.
+
+    The slot walk the package once used for a piece's faces, kept as a
+    reference.  face_of_interval[i] is the face at the interval between
+    slot i and i+1; face 0 is the one before slot 0.  chord_sides maps
+    each chord to (inner_face, outer_face), where the inner face lies
+    between the chord and the boundary arc from its lower to its higher
+    slot.  The chords must be a non-crossing perfect matching.
+    """
+    partner = {}
+    for a, b in chords:
+        partner[a] = b
+        partner[b] = a
+    face_of_interval = [0] * num_slots
+    chord_sides = {}
+    stack: list[int] = []
+    current = 0
+    next_id = 1
+    for s in range(num_slots):
+        p = partner[s]
+        if s < p:
+            chord_sides[(s, p)] = (next_id, current)
+            stack.append(current)
+            current = next_id
+            next_id += 1
+        else:
+            current = stack.pop()
+        face_of_interval[s] = current
+    return next_id, tuple(face_of_interval), chord_sides
+
+
 # ---------------------------------------------------------------------------
 # Surface validation
 # ---------------------------------------------------------------------------
@@ -782,13 +814,13 @@ def _arcs_from_side(surface, k, side):
     """Every arc from a chord on the given side of a cross chord to one on the other."""
     layout = sf.layout_of(surface, k)
     for p in range(surface.num_pieces):
-        faces = sf.piece_faces(layout.num_slots(p), k.chords[p])
+        _, _, chord_sides = reference_faces(layout.num_slots(p), k.chords[p])
         adjacent = {}
-        for chord, sides in faces.chord_sides.items():
+        for chord, sides in chord_sides.items():
             for face in sides:
                 adjacent.setdefault(face, []).append(chord)
         for cross in k.chords[p]:
-            inner, outer = faces.chord_sides[cross]
+            inner, outer = chord_sides[cross]
             f0, f1 = (inner, outer) if side == "inner" else (outer, inner)
             for start in adjacent[f0]:
                 for end in adjacent[f1]:
@@ -876,25 +908,12 @@ def test_bypass_outputs_digest():
 def _reference_arcs(layout, k):
     """The bypass arc walk as it was before it read rotations from chord nesting.
 
-    The faces of each piece come from a stack walk over its slots, an
-    adjacency dict lists the chords bounding each face, and each arc's
-    six endpoints are sorted to find its rotation.
+    The faces of each piece come from reference_faces, an adjacency dict
+    lists the chords bounding each face, and each arc's six endpoints are
+    sorted to find its rotation.
     """
     for p, piece_chords in enumerate(k.chords):
-        partner = {}
-        for a, b in piece_chords:
-            partner[a] = b
-            partner[b] = a
-        chord_sides = {}
-        stack, current, next_id = [], 0, 1
-        for s in range(layout.num_slots(p)):
-            if s < partner[s]:
-                chord_sides[s, partner[s]] = (next_id, current)
-                stack.append(current)
-                current = next_id
-                next_id += 1
-            else:
-                current = stack.pop()
+        _, _, chord_sides = reference_faces(layout.num_slots(p), piece_chords)
         adjacency = {}
         for chord, sides in chord_sides.items():
             for face in sides:
@@ -904,7 +923,8 @@ def _reference_arcs(layout, k):
                 for end in adjacency[inner]:
                     if cross != start and cross != end:
                         q = sorted(s for chord in (start, cross, end) for s in chord)
-                        i = (q[5], q[1], q[3]).index(partner[q[0]])
+                        partner = next(b for a, b in (start, cross, end) if a == q[0])
+                        i = (q[5], q[1], q[3]).index(partner)
                         yield p, (start, cross, end), tuple(q), i
 
 
