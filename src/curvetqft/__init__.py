@@ -38,7 +38,7 @@ from .tqftcore import (
     build_module,
     class_of,
     distinct_classes,
-    disk_bruteforce_module,
+    subdisk_relations,
 )
 from .gluemaps import (
     BoundaryArc,

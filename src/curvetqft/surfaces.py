@@ -520,48 +520,29 @@ def _check_length(surface: MarkedSurface, crossings: tuple[int, ...]) -> None:
 # Faces of one piece
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PieceFaces:
-    """Planar faces of a disk piece cut along its chords.
+def _nest(chords: tuple[Chord, ...]) -> tuple[dict, dict]:
+    """(parent, children) of a piece's chords, by one stack pass.
 
-    face_of_interval[i] is the face adjacent to the boundary interval
-    between slot i and slot i+1 (cyclically); face 0 is the face adjacent
-    to the interval preceding slot 0.  chord_sides maps each chord to
-    (inner_face, outer_face), where the inner face is enclosed between
-    the chord and the boundary arc from its lower to its higher slot.
+    The chords are a valid piece's, so ascending and non-crossing.
+    parent[c] is the chord directly enclosing c, or None, and children[c]
+    the chords directly inside c, ascending; children[None] holds the
+    top-level chords.  Cut along its chords, the piece has face 0, before
+    slot 0 and bounded by the top-level chords, and one inner face per
+    chord c, bounded by c and children[c]; parent[c] and its children
+    bound c's outer face.
     """
-
-    num_faces: int
-    face_of_interval: tuple[int, ...]
-    chord_sides: dict
-
-
-def piece_faces(num_slots: int, chords: tuple[Chord, ...]) -> PieceFaces:
-    """Faces of a piece whose chords are a non-crossing perfect matching.
-
-    The matching is not checked here: callers pass chords of a dividing
-    set that validate_dividing_set accepted.
-    """
-    partner = {}
-    for a, b in chords:
-        partner[a] = b
-        partner[b] = a
-    face_of_interval = [0] * num_slots
-    chord_sides = {}
-    stack: list[int] = []
-    current = 0
-    next_id = 1
-    for s in range(num_slots):
-        p = partner[s]
-        if s < p:
-            chord_sides[(s, p)] = (next_id, current)
-            stack.append(current)
-            current = next_id
-            next_id += 1
-        else:
-            current = stack.pop()
-        face_of_interval[s] = current
-    return PieceFaces(next_id, tuple(face_of_interval), chord_sides)
+    parent = {}
+    children: dict = {None: []}
+    stack: list[Chord] = []
+    for chord in chords:
+        while stack and stack[-1][1] < chord[0]:
+            stack.pop()
+        up = stack[-1] if stack else None
+        parent[chord] = up
+        children[up].append(chord)
+        children[chord] = []
+        stack.append(chord)
+    return parent, children
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +660,28 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
     layout = validate_dividing_set(surface, k)
     if layout.signs is None:
         return None
-    faces = [piece_faces(layout.num_slots(p), k.chords[p]) for p in range(surface.num_pieces)]
-    offsets = list(itertools.accumulate((f.num_faces for f in faces), initial=0))
-    num_faces = offsets[-1]
-    sign = [0] * num_faces
-    for p, f in enumerate(faces):
-        s = layout.signs[p]
-        sign[offsets[p]] = s
-        for (a, _), (inner, _) in f.chord_sides.items():
-            sign[offsets[p] + inner] = s if a % 2 else -s
+    # Faces of piece p are numbered from offsets[p]: face 0, then the
+    # inner face of its chord j as j + 1 (see _nest).  Interval a of a
+    # chord (a, b) lies in the chord's inner face, and interval b in its
+    # parent's, or in face 0.
+    offsets = []
+    sign = []
+    face_of = []
+    for s, chords in zip(layout.signs, k.chords):
+        offsets.append(len(sign))
+        sign.append(s)
+        sign.extend(s if a % 2 else -s for a, _ in chords)
+        parent, _ = _nest(chords)
+        face = {chord: j for j, chord in enumerate(chords, 1)}
+        face[None] = 0
+        # A piece with no slots is its single face 0.
+        intervals = [0] * (2 * len(chords) or 1)
+        for chord in chords:
+            intervals[chord[0]] = face[chord]
+            intervals[chord[1]] = face[parent[chord]]
+        face_of.append(intervals)
+    num_faces = len(sign)
     uf = _ParityUnionFind(num_faces)
-    # A piece with no slots is its single face 0.
-    face_of = [f.face_of_interval or (0,) for f in faces]
 
     def face_at(piece: int, interval: int) -> int:
         return offsets[piece] + face_of[piece][interval]
@@ -745,7 +736,7 @@ def euler_grading(surface: MarkedSurface, k: DividingSet) -> int:
 
 def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
     """Whether some complementary region avoids the surface boundary."""
-    validate_dividing_set(surface, k)
+    _colored(validate_dividing_set(surface, k).signs)
     if k.closed > 0:
         return True
     return any(not r.touches_boundary for r in label_regions(surface, k))
@@ -980,18 +971,6 @@ _ROTATIONS = (
 )
 
 
-def _rotation(arc_chords: tuple[Chord, Chord, Chord]) -> tuple[list[int], int]:
-    """The six sorted endpoints of three chords, and the rotation they hold.
-
-    The chords, one separating the other two, are one rotation of their
-    six endpoints; the partner of the lowest endpoint names which.  For
-    bypass_triple, whose arc comes from the caller; _arcs needs no sort.
-    """
-    q = sorted(s for chord in arc_chords for s in chord)
-    partner = next(b for a, b in arc_chords if a == q[0])
-    return q, (q[5], q[1], q[3]).index(partner)
-
-
 def _holds_bigon(bigons: frozenset[int], q, j: int) -> bool:
     """Whether rotation j of q joins a bigon slot (of bigons) to the next slot."""
     for a, b in _ROTATIONS[j]:
@@ -1005,7 +984,7 @@ def _rotate(
 ) -> tuple:
     """Canonical (front, back) of the bypass on three chords of one piece.
 
-    q and i are the chords' rotation (see _rotation).  front and back
+    q and i are the chords' rotation (see _arcs).  front and back
     hold the next two rotations of the six endpoints.  Every other chord
     of the piece has both ends between two consecutive endpoints, so it
     stays, as do the other pieces and the closed components.
@@ -1050,30 +1029,41 @@ def bypass_triple(
     layout = validate_dividing_set(surface, k)
     if not (isinstance(arc.piece, int) and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
-    faces = piece_faces(layout.num_slots(arc.piece), k.chords[arc.piece])
-    arc_chords = start, cross, end = arc.start_chord, arc.cross_chord, arc.end_chord
+    parent, _ = _nest(k.chords[arc.piece])
+    arc_chords = arc.start_chord, arc.cross_chord, arc.end_chord
     for chord in arc_chords:
         try:
             # index() rejects an int-valued float, which would find the int chord.
-            known = chord in faces.chord_sides and tuple(map(operator.index, chord)) == chord
+            known = chord in parent and tuple(map(operator.index, chord)) == chord
         except TypeError:  # an unhashable chord, or an end that is not an int
             known = False
         if not known:
             raise BypassError(f"chord {chord} is not part of the dividing set")
-    inner, outer = faces.chord_sides[cross]
+    # The inner arc (s, c, e) is the outer arc (e, c, s).
     if arc.start_side == "inner":
-        f0, f1 = inner, outer
+        end, cross, start = arc_chords
     elif arc.start_side == "outer":
-        f0, f1 = outer, inner
+        start, cross, end = arc_chords
     else:
         raise BypassError("start_side must be 'inner' or 'outer'")
-    if f0 not in faces.chord_sides[start] or f1 not in faces.chord_sides[end]:
+    # parent[cross] and its children bound the outer face, cross and its
+    # children the inner one.
+    up = parent[cross]
+    if not (start == up or parent[start] == up) or not (end == cross or parent[end] == cross):
         raise BypassError("chord is not adjacent to the required face")
     if cross in (start, end):
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
     _colored(layout.signs)
+    # q and i as _arcs reads them.
+    c0, c1 = cross
+    if start == up:
+        q, i = (up[0], c0, *end, c1, up[1]), 0
+    elif start < cross:
+        q, i = (*start, c0, *end, c1), 1
+    else:
+        q, i = (c0, *end, c1, *start), 2
     bigon_free = _find_bigon(layout, k) is None
-    return _rotate(layout, k, arc.piece, arc_chords, *_rotation(arc_chords), bigon_free)
+    return _rotate(layout, k, arc.piece, arc_chords, q, i, bigon_free)
 
 
 def _owns(bigons: frozenset[int], q, i: int) -> bool:
@@ -1098,25 +1088,15 @@ def _arcs(k: DividingSet, bigon_slots=None):
 
     arc_chords is (start, cross, end): end is a child of cross (directly
     inside it), start its parent (i = 0) or a sibling to the left (i = 1)
-    or right (i = 2).  So q and i (see _rotation) follow from the nesting
+    or right (i = 2).  So q, the six endpoints in ascending order, and i,
+    the rotation of _ROTATIONS they hold, follow from the nesting (_nest)
     with no sort.  Parent first, then siblings, ends in chord order.  k is
     valid.  Given the layout's bigon_slots, a piece with none yields its
     parent arcs only: there no sibling arc owns its triple (see _owns).
     """
     for p, piece_chords in enumerate(k.chords):
         siblings = bigon_slots is None or bigon_slots[p]
-        # One stack pass over the ascending chords nests them.
-        parent = {}
-        children: dict = {None: []}
-        stack: list[Chord] = []
-        for chord in piece_chords:
-            while stack and stack[-1][1] < chord[0]:
-                stack.pop()
-            up = stack[-1] if stack else None
-            parent[chord] = up
-            children[up].append(chord)
-            children[chord] = []
-            stack.append(chord)
+        parent, children = _nest(piece_chords)
         for cross in piece_chords:
             ends = children[cross]
             if not ends:

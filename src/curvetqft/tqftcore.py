@@ -13,6 +13,7 @@ bound is too small or the relation set incomplete.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
@@ -22,7 +23,6 @@ from .surfaces import (
     DividingSet,
     MarkedSurface,
     canonicalize,
-    enumerate_matchings,
     euler_grading,
     graded_dividing_sets,
     num_marks,
@@ -229,66 +229,50 @@ def distinct_classes(module: TqftModule, ks: list[DividingSet]) -> DistinctnessR
 
 
 # ---------------------------------------------------------------------------
-# Independent disk oracle
+# Independent sub-disk oracle
 # ---------------------------------------------------------------------------
 
-def _subdisk_relations(matchings: list[DividingSet]) -> list[int]:
-    """Relation rows on the disk from every embedded six-endpoint sub-disk.
+# The matchings of six ascending endpoints, as index pairs, in which one
+# chord separates the other two.
+_SUBDISK_PATTERNS = frozenset({
+    frozenset({(0, 5), (1, 4), (2, 3)}),
+    frozenset({(0, 1), (2, 5), (3, 4)}),
+    frozenset({(0, 3), (1, 2), (4, 5)}),
+})
 
-    A sub-disk meeting a matching in three nested strands exists exactly
-    when three chords form the fully nested pattern on their six
-    endpoints while every other chord stays inside a single gap between
-    consecutive endpoints.  The triple replaces the nested pattern with
-    its two rotations.  This construction is independent of the surgery
-    machinery in the surfaces module.
+
+def subdisk_relations(surface: MarkedSurface, generators) -> frozenset[int]:
+    """The bypass relation rows over generators, from six-endpoint sub-disks.
+
+    Three chords of one piece meet a sub-disk in three strands exactly
+    when one of them separates the other two, so that they form one of
+    the three patterns above, and no other chord of the piece separates
+    their six endpoints.  The row holds the set and the set with the
+    other two patterns, canonicalized; a member with a contractible
+    circle adds nothing.  This shares only canonicalize with
+    build_module, so on a module's generators the two give the same rows.
     """
-    import itertools as it
-
-    index = {m.chords[0]: i for i, m in enumerate(matchings)}
-    rows = []
-    for m in matchings:
-        chords = m.chords[0]
-        for triple in it.combinations(chords, 3):
-            pts = sorted(p for chord in triple for p in chord)
-            rel = {p: q for q, p in enumerate(pts)}
-            pattern = {tuple(sorted((rel[a], rel[b]))) for a, b in triple}
-            if pattern != {(0, 5), (1, 4), (2, 3)}:
-                continue
-            rest = [c for c in chords if c not in triple]
-            # Every remaining chord must keep all six points on one side.
-            ok = True
-            for a, b in rest:
-                inside = sum(1 for p in pts if a < p < b)
-                if inside not in (0, 6):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rot1 = {tuple(sorted((pts[0], pts[1]))), tuple(sorted((pts[2], pts[5]))),
-                    tuple(sorted((pts[3], pts[4])))}
-            rot2 = {tuple(sorted((pts[0], pts[3]))), tuple(sorted((pts[1], pts[2]))),
-                    tuple(sorted((pts[4], pts[5])))}
-            row = 1 << index[chords]
-            for other in (rot1, rot2):
-                new_chords = tuple(sorted(other | set(rest)))
-                row ^= 1 << index[new_chords]
-            rows.append(row)
-    return rows
-
-
-@dataclass(frozen=True)
-class DiskOracle:
-    rank: int
-    class_bits: tuple[int, ...]
-
-
-def disk_bruteforce_module(n: int) -> DiskOracle:
-    """Quotient of the free module on matchings by all sub-disk relations."""
-    matchings = enumerate_matchings(n)
-    rows = _subdisk_relations(matchings)
-    reduced, pivots = gf2.rref(rows)
-    rank = len(matchings) - len(pivots)
-    class_bits = tuple(
-        gf2.reduce_vector(1 << i, reduced, pivots) for i in range(len(matchings))
-    )
-    return DiskOracle(rank, class_bits)
+    index = {g.encode(): i for i, g in enumerate(generators)}
+    rows = set()
+    for i, g in enumerate(generators):
+        for p, chords in enumerate(g.chords):
+            for triple in itertools.combinations(chords, 3):
+                ends = sorted(x for chord in triple for x in chord)
+                rank = {x: r for r, x in enumerate(ends)}
+                pattern = frozenset((rank[a], rank[b]) for a, b in triple)
+                if pattern not in _SUBDISK_PATTERNS:
+                    continue
+                rest = [chord for chord in chords if chord not in triple]
+                if any(sum(a < x < b for x in ends) not in (0, 6) for a, b in rest):
+                    continue
+                row = 1 << i
+                for other in _SUBDISK_PATTERNS - {pattern}:
+                    piece = tuple(sorted(rest + [(ends[a], ends[b]) for a, b in other]))
+                    member = canonicalize(surface, DividingSet(
+                        g.crossings, g.chords[:p] + (piece,) + g.chords[p + 1:], g.closed
+                    ))
+                    if member.closed == 0:
+                        row ^= 1 << index[member.encode()]
+                if row:
+                    rows.add(row)
+    return frozenset(rows)

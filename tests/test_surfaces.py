@@ -451,6 +451,12 @@ def test_annulus_single_core_circle_with_arcs_colorable():
                   lambda s, k: list(sf.iter_bypass_surgeries(s, k))):
         with pytest.raises(sf.ColoringError):
             query(surface, k_bad)
+    # A contractible circle does not make the set colorable: every region
+    # query still refuses it, is_isolating included.
+    k_circle = sf.make_dividing_set(k_bad.crossings, k_bad.chords, closed=1)
+    for query in (sf.label_regions, sf.euler_grading, sf.is_isolating):
+        with pytest.raises(sf.ColoringError):
+            query(surface, k_circle)
 
 
 # ---------------------------------------------------------------------------

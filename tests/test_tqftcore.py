@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from curvetqft import gf2
 from curvetqft import surfaces as sf
 from curvetqft import tqftcore as tc
+from test_digests import SEAM_DIGESTS, _seam_surface
+from test_surfaces import MODULE_DIGEST_CASES
 
 
 def test_gf2_rref_basics():
@@ -314,17 +316,27 @@ def test_distinct_classes_report():
     assert (0, len(ms)) in doubled.equal_pairs
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_disk_oracle_agreement(n):
+    # The sub-disk rows over freshly enumerated matchings are the build's.
     m = tc.build_module(sf.disk(2 * n), 0)
-    oracle = tc.disk_bruteforce_module(n)
-    assert oracle.rank == m.rank
-    ms = sf.enumerate_matchings(n)
-    vecs = [tc.class_of(m, k).coords for k in ms]
-    for i in range(len(ms)):
-        assert oracle.class_bits[i] != 0
-        for j in range(i + 1, len(ms)):
-            assert (vecs[i] == vecs[j]) == (oracle.class_bits[i] == oracle.class_bits[j])
+    assert tc.subdisk_relations(m.surface, sf.enumerate_matchings(n)) == \
+        frozenset(m.relation_rows)
+
+
+# Every module digest surface; SEAM_DIGESTS holds disk(14).
+ORACLE_CASES = MODULE_DIGEST_CASES + [
+    (_seam_surface(name), bound) for name, bound in SEAM_DIGESTS
+]
+
+
+def test_subdisk_oracle_gives_the_relation_rows():
+    # Row for row on surfaces with seams too, where the ownership rule
+    # decides which member realizes a triple.
+    for surface, bound in ORACLE_CASES:
+        m = tc.build_module(surface, bound)
+        assert tc.subdisk_relations(surface, m.generators) == frozenset(m.relation_rows), \
+            (surface, bound)
 
 
 def test_relation_rows_are_homogeneous():
@@ -420,8 +432,8 @@ def test_full_rank_presets_have_binomial_graded_ranks(surface, bound):
 def test_build_realizes_each_row_once(monkeypatch):
     # Every bypass on a disk is realizable, and each triple is realized
     # from one of its three members only: one rotation per relation row.
-    # The arc walk reads each rotation from how the chords nest, so no
-    # endpoints are sorted and no faces are built.  An arc from the parent
+    # The arc walk reads each rotation from how the chords nest.  An arc
+    # from the parent
     # chord always owns its triple, and on a piece with no bigon slots no
     # other arc does, so the walk yields no other arc there; _owns decides
     # the rest.  A disk build never calls it, and the torus build calls it
@@ -429,10 +441,10 @@ def test_build_realizes_each_row_once(monkeypatch):
     # bigon is reduced, and each generator is graded once.
     cases = [
         (sf.disk(12), 0, 220,
-         {"_rotate": 220, "_rotation": 0, "_owns": 0, "piece_faces": 0, "make_dividing_set": 0,
+         {"_rotate": 220, "_owns": 0, "make_dividing_set": 0,
           "_arcs": 220, "_reduce": 0, "grading": 132}),
         (sf.punctured_torus(4), 3, 280,
-         {"_rotate": 466, "_rotation": 0, "_owns": 263, "piece_faces": 0,
+         {"_rotate": 466, "_owns": 263,
           "make_dividing_set": 776, "_arcs": 606, "_reduce": 776, "grading": 100}),
     ]
     calls = {}
@@ -443,7 +455,7 @@ def test_build_realizes_each_row_once(monkeypatch):
             return fn(*args)
         return counted
 
-    for name in ("_rotate", "_rotation", "_owns", "piece_faces", "make_dividing_set", "_reduce"):
+    for name in ("_rotate", "_owns", "make_dividing_set", "_reduce"):
         monkeypatch.setattr(sf, name, counting(getattr(sf, name), name))
     monkeypatch.setattr(sf.SlotLayout, "grading", counting(sf.SlotLayout.grading, "grading"))
     arcs = sf._arcs
