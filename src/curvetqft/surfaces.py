@@ -672,13 +672,13 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
         sign.append(s)
         sign.extend(s if a % 2 else -s for a, _ in chords)
         parent, _ = _nest(chords)
-        face = {chord: j for j, chord in enumerate(chords, 1)}
-        face[None] = 0
         # A piece with no slots is its single face 0.
         intervals = [0] * (2 * len(chords) or 1)
-        for chord in chords:
-            intervals[chord[0]] = face[chord]
-            intervals[chord[1]] = face[parent[chord]]
+        for face, chord in enumerate(chords, 1):
+            # A parent precedes its children, so its interval is set.
+            up = parent[chord]
+            intervals[chord[0]] = face
+            intervals[chord[1]] = intervals[up[0]] if up else 0
         face_of.append(intervals)
     num_faces = len(sign)
     uf = _ParityUnionFind(num_faces)

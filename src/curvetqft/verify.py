@@ -5,8 +5,8 @@ check and the test suite asserts them individually.  The checks pin the
 exact values the model must reproduce: Catalan counts, quotient ranks and
 graded ranks, distinctness of matching classes, the superposition
 relation, the annulus class identities, the vanishing criterion, the
-three attachment-map tables, lift infeasibility, the independent disk
-oracle, and disjoint-union multiplicativity.
+three attachment-map tables, lift infeasibility, the independent
+sub-disk oracle's relation rows, and disjoint-union multiplicativity.
 
 Every check takes one argument, build, called as build(surface, bound)
 to obtain a module, and hands it on to the gluing and cutting helpers it

@@ -1,4 +1,4 @@
-"""Module construction, class vectors, and the independent disk oracle."""
+"""Module construction, class vectors, and the independent sub-disk oracle."""
 
 from __future__ import annotations
 
