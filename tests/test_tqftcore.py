@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvetqft import gf2
+from curvetqft import gluemaps as gm
 from curvetqft import surfaces as sf
 from curvetqft import tqftcore as tc
 from test_digests import SEAM_DIGESTS, _seam_surface
@@ -237,6 +238,19 @@ def _random_pairing(rng: random.Random, lo: int, hi: int) -> list:
             + _random_pairing(rng, partner + 1, hi))
 
 
+def _reference_coords(m, idx):
+    """Generator idx in the quotient basis, by the pivot and basis walks, kept verbatim."""
+    vec = 1 << idx
+    for row, p in zip(m.reduced_rows, m.pivots):
+        if (vec >> p) & 1:
+            vec ^= row
+    coords = 0
+    for pos, gen_idx in enumerate(m.basis_indices):
+        if (vec >> gen_idx) & 1:
+            coords |= 1 << pos
+    return coords
+
+
 def _noncanonical_stream(surface, bound, count, seed):
     """Colorable sets with up to bound + 2 crossings (so bigons) and circles."""
     rng = random.Random(seed)
@@ -273,8 +287,7 @@ def test_class_of_matches_region_analysis(surface, bound):
         if canonical.closed:
             assert v.coords == 0
         else:
-            gen = m.generator_index(canonical)
-            assert v.coords == m.vector_in_basis(m.reduce(1 << gen))
+            assert v.coords == _reference_coords(m, m.generator_index(canonical))
     # Bigons need identified segments; a disk set differs only by circles.
     assert any(k.closed for k in queries)
     assert surface.num_pairs == 0 or any(
@@ -337,6 +350,31 @@ def test_subdisk_oracle_gives_the_relation_rows():
         m = tc.build_module(surface, bound)
         assert tc.subdisk_relations(surface, m.generators) == frozenset(m.relation_rows), \
             (surface, bound)
+
+
+def test_class_coordinates_are_the_quotient_map():
+    # class_of on generators is the quotient map onto the basis positions:
+    # it kills every relation row, fixes the basis, and agrees with the
+    # reference walks, on every oracle surface and through the gluing maps.
+    for surface, bound in ORACLE_CASES:
+        m = tc.build_module(surface, bound)
+        coords = [tc.class_of(m, g).coords for g in m.generators]
+        for row in m.relation_rows:
+            assert functools.reduce(xor, (coords[i] for i in gf2.set_bits(row)), 0) == 0
+        for pos, idx in enumerate(m.basis_indices):
+            assert coords[idx] == 1 << pos
+        assert coords == [_reference_coords(m, idx) for idx in range(len(coords))], \
+            (surface, bound)
+    for j in range(3):
+        result, m_src, m_tgt = gm.attach_arc_map(tc.build_module, 3, j)
+        info = gm.glue_surfaces(gm.attach_arc_datum(3, j))
+        expected = []
+        for idx in m_src.basis_indices:
+            image = sf.canonicalize(m_tgt.surface, gm.map_dividing_set(info, m_src.generators[idx]))
+            expected.append(
+                0 if image.closed else _reference_coords(m_tgt, m_tgt.generator_index(image))
+            )
+        assert result.basis_columns == tuple(expected)
 
 
 def test_relation_rows_are_homogeneous():
