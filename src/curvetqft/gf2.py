@@ -1,14 +1,16 @@
 """GF(2) linear algebra on int bitsets.
 
 A vector over GF(2) is a Python int whose bit i is the coefficient of
-basis element i.  A matrix is a list of such row-ints.  Reduction keeps
-the pivot of each row at its lowest set bit, which makes reduced forms
-canonical for a fixed column order.
+basis element i.  A matrix is a list of such row-ints.  rref keeps the
+pivot of each row at its lowest set bit and clears every pivot column
+in the other rows, so the reduced rows of a row space are unique for a
+fixed column order, and a vector's coordinates in the quotient can be
+read from them without reducing it (see tqftcore.class_of).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def lowest_bit(x: int) -> int:
@@ -58,14 +60,6 @@ def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
             basis[p] ^= basis[q]
         higher |= 1 << p
     return [basis[p] for p in pivots], pivots
-
-
-def reduce_vector(vec: int, reduced_rows: Sequence[int], pivots: Sequence[int]) -> int:
-    """Canonical representative of vec modulo the row space."""
-    for row, p in zip(reduced_rows, pivots):
-        if (vec >> p) & 1:
-            vec ^= row
-    return vec
 
 
 def rank(rows: Iterable[int]) -> int:

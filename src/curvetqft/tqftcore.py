@@ -14,6 +14,7 @@ bound is too small or the relation set incomplete.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
@@ -88,16 +89,6 @@ class TqftModule:
             raise BoundExceededError(
                 "dividing set is not among the generators at this bound"
             ) from None
-
-    def reduce(self, vec: int) -> int:
-        return gf2.reduce_vector(vec, self.reduced_rows, self.pivots)
-
-    def vector_in_basis(self, reduced_vec: int) -> int:
-        coords = 0
-        for pos, gen_idx in enumerate(self.basis_indices):
-            if (reduced_vec >> gen_idx) & 1:
-                coords |= 1 << pos
-        return coords
 
 
 def expected_graded_ranks(surface: MarkedSurface) -> dict[int, int]:
@@ -197,8 +188,17 @@ def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
     if idx is None:
         # Bigon-free, colorable and circle-free: only the bound keeps it out.
         raise BoundExceededError("canonical form exceeds the module's crossing bound")
-    reduced = module.reduce(1 << idx)
-    coords = module.vector_in_basis(reduced)
+    # The rows are fully reduced: a pivot's row holds, besides its pivot,
+    # only basis elements, and basis element b sits at position b less
+    # the number of pivots below it.
+    pivots = module.pivots
+    j = bisect_left(pivots, idx)
+    vec = 1 << idx
+    if j < len(pivots) and pivots[j] == idx:
+        vec ^= module.reduced_rows[j]
+    coords = 0
+    for b in gf2.set_bits(vec):
+        coords |= 1 << (b - bisect_left(pivots, b))
     return ClassVector(coords, grading)
 
 
@@ -220,12 +220,13 @@ def distinct_classes(module: TqftModule, ks: list[DividingSet]) -> DistinctnessR
     """Which of the given dividing sets have zero or pairwise equal classes."""
     vectors = [class_of(module, k) for k in ks]
     zero = tuple(i for i, v in enumerate(vectors) if v.is_zero)
-    equal = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if vectors[i].coords == vectors[j].coords:
-                equal.append((i, j))
-    return DistinctnessReport(zero, tuple(equal))
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(vectors):
+        groups.setdefault(v.coords, []).append(i)
+    equal = tuple(sorted(
+        pair for group in groups.values() for pair in itertools.combinations(group, 2)
+    ))
+    return DistinctnessReport(zero, equal)
 
 
 # ---------------------------------------------------------------------------

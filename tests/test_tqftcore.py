@@ -98,17 +98,6 @@ def test_gf2_rref_matches_reference_on_wide_rows(seed):
         assert gf2.rref(make(rows)) == _reference_rref(list(rows))
 
 
-def test_gf2_reduce_is_canonical():
-    rows = [0b0110, 0b1100]
-    reduced, pivots = gf2.rref(rows)
-    # Vectors in the same coset reduce to the same representative.
-    v = 0b0010
-    assert gf2.reduce_vector(v, reduced, pivots) == \
-        gf2.reduce_vector(v ^ 0b0110 ^ 0b1100, reduced, pivots)
-    # The representative of a row-space element is zero.
-    assert gf2.reduce_vector(0b1010, reduced, pivots) == 0
-
-
 @pytest.mark.parametrize("n,rank", [(n, 2 ** (n - 1)) for n in range(1, 8)])
 def test_disk_module_ranks(n, rank):
     # V^(n-1) with V = GF(2) in gradings +1 and -1: the piece of grading
