@@ -70,13 +70,18 @@ class GlueInfo:
     token_map: dict
 
 
+def _is_position(x, n: int) -> bool:
+    """Whether x is an int (a bool is none) in range(n)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
 def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[int]:
-    if not (isinstance(arc.piece, int) and 0 <= arc.piece < surface.num_pieces):
+    if not _is_position(arc.piece, surface.num_pieces):
         raise GluingError(f"arc names piece {arc.piece}, which does not exist")
     word = surface.words[arc.piece]
     n = len(word)
     for t in (arc.start, arc.end):
-        if not (isinstance(t, int) and 0 <= t < n) or word[t][0] != PLAIN:
+        if not _is_position(t, n) or word[t][0] != PLAIN:
             raise GluingError("arc endpoints must lie inside plain segments")
     if arc.start == arc.end:
         interior = [(arc.start + 1 + j) % n for j in range(n - 1)]
@@ -266,8 +271,7 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
     rejected when the arc's endpoint sectors carry equal labels (then no
     dividing set crosses it an odd number of times).
     """
-    if not (isinstance(pair_id, int) and not isinstance(pair_id, bool)
-            and 0 <= pair_id < surface.num_pairs):
+    if not _is_position(pair_id, surface.num_pairs):
         raise GluingError(f"no identification pair {pair_id}")
     cut_positions = set(surface.pairs[pair_id])
 

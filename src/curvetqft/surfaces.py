@@ -1027,7 +1027,8 @@ def bypass_triple(
     its relation is zero.
     """
     layout = validate_dividing_set(surface, k)
-    if not (isinstance(arc.piece, int) and 0 <= arc.piece < surface.num_pieces):
+    if not (isinstance(arc.piece, int) and not isinstance(arc.piece, bool)
+            and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
     parent, _ = _nest(k.chords[arc.piece])
     arc_chords = arc.start_chord, arc.cross_chord, arc.end_chord

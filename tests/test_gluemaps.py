@@ -212,6 +212,11 @@ def test_glue_requires_matching_marks():
     (gm.BoundaryArc(0, 0, 5), "inside plain segments"),
     (gm.BoundaryArc(0, 1, 17), "inside plain segments"),
     (gm.BoundaryArc(0, 1.0, 5), "inside plain segments"),
+    # A bool is an int to isinstance, but no position: False was piece 0
+    # and True token 1.
+    (gm.BoundaryArc(False, 1, 5), "names piece False"),
+    (gm.BoundaryArc(0, True, 5), "inside plain segments"),
+    (gm.BoundaryArc(0, 1, True), "inside plain segments"),
 ])
 def test_glue_rejects_arc_off_the_boundary(gamma, message):
     with pytest.raises(gm.GluingError, match=message):

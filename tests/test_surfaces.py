@@ -1004,6 +1004,13 @@ def test_bypass_arc_piece_must_exist():
     for piece in (-1, 1, 0.0):
         with pytest.raises(sf.BypassError, match=f"piece {piece} is not a piece"):
             sf.bypass_triple(surface, k, sf.BypassArc(piece, (0, 1), (2, 5), (3, 4)))
+    # A bool is an int to isinstance, but no piece: True was taken as piece 1.
+    union = sf.disjoint_union(surface, surface)
+    ku = sf.make_dividing_set((), [k.chords[0], k.chords[0]])
+    for piece in (True, False):
+        with pytest.raises(sf.BypassError, match=f"piece {piece} is not a piece"):
+            sf.bypass_triple(union, ku, sf.BypassArc(piece, (0, 1), (2, 5), (3, 4)))
+    assert sf.bypass_triple(union, ku, sf.BypassArc(1, (0, 1), (2, 5), (3, 4)))
 
 
 @pytest.mark.parametrize("chord", [(0.0, 1.0), (0, 1.0), [0, 1], None])
