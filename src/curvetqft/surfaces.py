@@ -736,10 +736,8 @@ def euler_grading(surface: MarkedSurface, k: DividingSet) -> int:
 
 def is_isolating(surface: MarkedSurface, k: DividingSet) -> bool:
     """Whether some complementary region avoids the surface boundary."""
-    _colored(validate_dividing_set(surface, k).signs)
-    if k.closed > 0:
-        return True
-    return any(not r.touches_boundary for r in label_regions(surface, k))
+    regions = label_regions(surface, k)
+    return k.closed > 0 or any(not r.touches_boundary for r in regions)
 
 
 def is_colorable(surface: MarkedSurface, k: DividingSet) -> bool:
