@@ -2,10 +2,8 @@
 
 A vector over GF(2) is a Python int whose bit i is the coefficient of
 basis element i.  A matrix is a list of such row-ints.  rref keeps the
-pivot of each row at its lowest set bit and clears every pivot column
-in the other rows, so the reduced rows of a row space are unique for a
-fixed column order, and a vector's coordinates in the quotient can be
-read from them without reducing it (see tqftcore.class_of).
+pivot of each row at its lowest set bit and clears it in every other
+row, which makes the reduced rows of a row space unique.
 """
 
 from __future__ import annotations
