@@ -25,7 +25,6 @@ from .surfaces import (
     PLAIN,
     DividingSet,
     MarkedSurface,
-    _is_position,
     _trace_boundary,
     layout_of,
     make_dividing_set,
@@ -69,6 +68,11 @@ class GlueInfo:
     seam_marks: int
     mark_map: dict
     token_map: dict
+
+
+def _is_position(x, n: int) -> bool:
+    """Whether x is an int (a bool is none) in range(n)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[int]:

@@ -711,11 +711,6 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
     return tuple(Region(sign[region], e, region in touches) for region, e in chi.items())
 
 
-def _is_position(x, n: int) -> bool:
-    """Whether x is an int (a bool is none) in range(n)."""
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
-
-
 def _colored(value):
     """value, or ColoringError when the slot layout admits no coloring (None)."""
     if value is None:
@@ -1030,7 +1025,8 @@ def bypass_triple(
     its relation is zero.
     """
     layout = validate_dividing_set(surface, k)
-    if not _is_position(arc.piece, surface.num_pieces):
+    if not (isinstance(arc.piece, int) and not isinstance(arc.piece, bool)
+            and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
     parent, _ = _nest(k.chords[arc.piece])
     arc_chords = arc.start_chord, arc.cross_chord, arc.end_chord
