@@ -359,7 +359,8 @@ def test_class_coordinates_are_the_quotient_map():
         info = gm.glue_surfaces(gm.attach_arc_datum(3, j))
         expected = []
         for idx in m_src.basis_indices:
-            image = sf.canonicalize(m_tgt.surface, gm.map_dividing_set(info, m_src.generators[idx]))
+            image = gm.map_dividing_set(info, m_src.generators[idx])
+            image = sf.canonicalize(m_tgt.surface, image)
             expected.append(
                 0 if image.closed else _reference_coords(m_tgt, m_tgt.generator_index(image))
             )
