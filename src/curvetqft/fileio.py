@@ -178,12 +178,8 @@ def dividing_set_from_dict(data: Any) -> tuple[MarkedSurface, DividingSet]:
 def gluing_datum_to_dict(datum: GluingDatum) -> dict:
     return {
         "surface": surface_to_dict(datum.source),
-        "gamma": [datum.gamma.piece, datum.gamma.start, datum.gamma.end],
-        "gamma_prime": [
-            datum.gamma_prime.piece,
-            datum.gamma_prime.start,
-            datum.gamma_prime.end,
-        ],
+        "gamma": list(datum.gamma),
+        "gamma_prime": list(datum.gamma_prime),
     }
 
 

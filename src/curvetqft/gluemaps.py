@@ -16,7 +16,7 @@ onto the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gf2
 from .surfaces import (
@@ -36,8 +36,7 @@ class GluingError(ValueError):
     """The gluing or cutting datum is invalid or inconsistent."""
 
 
-@dataclass(frozen=True)
-class BoundaryArc:
+class BoundaryArc(NamedTuple):
     """An arc of the glued boundary, inside one piece's boundary word.
 
     The arc runs forward from the middle of the plain token at `start` to
@@ -51,15 +50,13 @@ class BoundaryArc:
     end: int
 
 
-@dataclass(frozen=True)
-class GluingDatum:
+class GluingDatum(NamedTuple):
     source: MarkedSurface
     gamma: BoundaryArc
     gamma_prime: BoundaryArc
 
 
-@dataclass(frozen=True)
-class GlueInfo:
+class GlueInfo(NamedTuple):
     """Everything needed to transfer dividing sets across one gluing."""
 
     source: MarkedSurface
@@ -122,8 +119,7 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
     The arcs are matched by an orientation-reversing correspondence, so
     mark i of gamma is identified with mark q-1-i of gamma_prime.
     """
-    surface = datum.source
-    g, gp = datum.gamma, datum.gamma_prime
+    surface, g, gp = datum
     int_g = _arc_interior(surface, g)
     int_gp = _arc_interior(surface, gp)
     span_g = {(g.piece, i) for i in int_g} | {(g.piece, g.start), (g.piece, g.end)}
@@ -183,8 +179,7 @@ def map_dividing_set(info: GlueInfo, k: DividingSet) -> DividingSet:
     return make_dividing_set(crossings, chords, k.closed)
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(NamedTuple):
     """A gluing map evaluated on generators and on the quotient basis."""
 
     images: tuple[ClassVector, ...]
@@ -258,8 +253,7 @@ def _infer_labels(words, pairs):
     )
 
 
-@dataclass(frozen=True)
-class CutInfo:
+class CutInfo(NamedTuple):
     cut_surface: MarkedSurface
     reglue: GluingDatum
 
@@ -300,8 +294,7 @@ def cut_surface(surface: MarkedSurface, pair_id: int) -> CutInfo:
     return CutInfo(cut, reglue)
 
 
-@dataclass(frozen=True)
-class CutReport:
+class CutReport(NamedTuple):
     rank_original: int
     rank_cut: int
     rank_reglued: int

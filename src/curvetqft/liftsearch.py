@@ -15,9 +15,9 @@ ambiguity cannot be removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 # pattern[j][i] == 1 when functional j must carry unknown i to the image
 # generator, and 0 when it must annihilate it.  Unknown order: (a, b, d).
@@ -29,32 +29,41 @@ class LiftError(ValueError):
     """The lift problem is malformed or inconsistent with the computed maps."""
 
 
-@dataclass(frozen=True)
-class LiftProblem:
+class _ProblemFields(NamedTuple):
+    pattern: tuple = STANDARD_PATTERN
+    allow_signs: bool = False
+    search_box: int = 4
+
+
+class LiftProblem(_ProblemFields):
     """Incidence constraints for three rank-1 functionals on three unknowns.
 
     The unknowns are primitive vectors a, b, d in the rank-2 lattice with
     a normalized to (1, 0) and the first functional's kernel to
     span{(0, 1)}.  allow_signs relaxes "maps to the generator" to "maps
-    to plus or minus the generator".
+    to plus or minus the generator".  Construction checks the pattern and
+    the box; _make and _replace skip the check.
     """
 
-    pattern: tuple = STANDARD_PATTERN
-    allow_signs: bool = False
-    search_box: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.pattern) != 3 or any(len(r) != 3 for r in self.pattern):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        try:
+            valid = len(self.pattern) == 3 and all(
+                len(r) == 3 and all(v in (0, 1) for v in r) for r in self.pattern)
+        except TypeError:  # the pattern or a row has no length
+            valid = False
+        if not valid:
             raise LiftError("pattern must be three rows of three 0/1 entries")
-        if any(v not in (0, 1) for r in self.pattern for v in r):
-            raise LiftError("pattern entries must be 0 or 1")
         if self.pattern[0][0] != 1:
             raise LiftError(
                 "the normalization writes a as (1, 0) with functional 1 "
                 "sending it to the generator; pattern[0][0] must be 1"
             )
-        if self.search_box < 2:
-            raise LiftError("search box must be at least 2")
+        if not isinstance(self.search_box, int) or self.search_box < 2:
+            raise LiftError(f"search box must be an int of at least 2, got {self.search_box!r}")
+        return self
 
 
 def standard_problem(allow_signs: bool = False, search_box: int = 4) -> LiftProblem:
@@ -63,8 +72,7 @@ def standard_problem(allow_signs: bool = False, search_box: int = 4) -> LiftProb
     return LiftProblem(STANDARD_PATTERN, allow_signs, search_box)
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     feasible: bool
     witnesses: tuple
     certificate: dict

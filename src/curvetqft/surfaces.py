@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MARK = "mark"
 PLAIN = "plain"
@@ -69,24 +69,32 @@ def ident(pair_id: int) -> Token:
     return (IDENT, pair_id)
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
+class _SurfaceFields(NamedTuple):
+    words: tuple[tuple[Token, ...], ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+
+class MarkedSurface(_SurfaceFields):
     """Disk pieces with paired boundary segments and labeled marked points.
 
     words[p] is the cyclic boundary word of piece p.  pairs[k] is the
     ordered pair of (piece, token_index) positions of the two segments
     glued by identification k; the first is traversed forward and the
     second backward.  Construction runs validate_surface, so every
-    MarkedSurface is a valid sutured surface.
+    MarkedSurface is a valid sutured surface.  The tuple holds words and
+    pairs only: the slot-layout memo sits beside it, outside ==, hash
+    and repr.  _make and _replace skip the check and the memo.
     """
 
-    words: tuple[tuple[Token, ...], ...]
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    # crossing vector -> SlotLayout; it lives as long as the surface does.
-    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __new__(cls, words, pairs):
+        self = super().__new__(cls, words, pairs)
+        # crossing vector -> SlotLayout; it lives as long as the surface does.
+        self.__dict__["_layouts"] = {}
         validate_surface(self)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a MarkedSurface is immutable")
 
     def token(self, piece: int, idx: int) -> Token:
         return self.words[piece][idx]
@@ -110,8 +118,7 @@ class MarkedSurface:
         return self.num_pieces - self.num_pairs
 
 
-@dataclass(frozen=True)
-class DividingSet:
+class DividingSet(NamedTuple):
     """A multicurve on a marked surface.
 
     crossings[k] is the number of times the curve crosses identification
@@ -221,8 +228,7 @@ def disjoint_union(a: MarkedSurface, b: MarkedSurface) -> MarkedSurface:
 # Surface validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceInfo:
+class SurfaceInfo(NamedTuple):
     euler: int
     marks_per_circle: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
@@ -574,8 +580,7 @@ class _ParityUnionFind:
         return True
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One component of the complement of the multicurve."""
 
     sign: int
@@ -940,8 +945,7 @@ def graded_dividing_sets(
 # Bypass surgery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BypassArc:
+class BypassArc(NamedTuple):
     """An attachment arc inside one piece, meeting the multicurve 3 times.
 
     The arc starts on start_chord, crosses cross_chord once, and ends on

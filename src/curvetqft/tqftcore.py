@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from . import gf2
 from .surfaces import (
@@ -42,8 +42,7 @@ class BoundExceededError(ValueError):
 DEFAULT_BOUND = 4
 
 
-@dataclass(frozen=True)
-class ClassVector:
+class ClassVector(NamedTuple):
     """The class of a dividing set, in the reduced quotient basis.
 
     coords is a bitset over the quotient basis positions.  grading is the
@@ -59,10 +58,7 @@ class ClassVector:
         return self.coords == 0
 
 
-@dataclass(frozen=True)
-class TqftModule:
-    """Presented module: generators, relation rows, reduced basis, grading."""
-
+class _ModuleFields(NamedTuple):
     surface: MarkedSurface
     bound: int
     generators: tuple[DividingSet, ...]
@@ -73,7 +69,28 @@ class TqftModule:
     basis_indices: tuple[int, ...]
     expected_rank: int
     warnings: tuple[str, ...]
-    index: dict = field(compare=False, repr=False)  # encoding -> position
+
+
+class TqftModule(_ModuleFields):
+    """Presented module: generators, relation rows, reduced basis, grading.
+
+    index maps each generator's encoding to its position.  It is the last
+    argument but sits beside the tuple, outside ==, hash and repr;
+    _make and _replace skip it.
+    """
+
+    def __new__(cls, surface, bound, generators, gradings, relation_rows, reduced_rows,
+                pivots, basis_indices, expected_rank, warnings, index):
+        self = super().__new__(cls, surface, bound, generators, gradings, relation_rows,
+                               reduced_rows, pivots, basis_indices, expected_rank, warnings)
+        self.__dict__["index"] = index
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a TqftModule is immutable")
 
     @property
     def rank(self) -> int:
@@ -202,8 +219,7 @@ def class_of(module: TqftModule, k: DividingSet) -> ClassVector:
     return ClassVector(coords, grading)
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(NamedTuple):
     zero_indices: tuple[int, ...]
     equal_pairs: tuple[tuple[int, int], ...]
 

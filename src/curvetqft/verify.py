@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gluemaps import attachment_table, cut_check
 from .liftsearch import replay_certificate, search_lift, standard_problem
@@ -42,8 +42,7 @@ ANNULUS_BOUND = 3
 TORUS_BOUND = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

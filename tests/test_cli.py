@@ -365,14 +365,36 @@ def test_module_build_error_is_internal(monkeypatch, capsys):
     assert "mixes gradings" in err
 
 
-def test_console_entry_point():
-    # The child imports the package from where this process found it.
+def _child_env():
+    """The environment of a child that imports the package from where this process found it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(curvetqft.__file__)))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curvetqft.cli", "matchings", "--n", "2",
          "--format", "machine"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0-1 2-3", "0-3 1-2"]
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # dataclasses imports inspect, ast, dis and tokenize, and builds each
+    # class by exec; the CLI's cold start pays for neither, unless the
+    # bare interpreter already has them.
+    code = (
+        "import sys\n"
+        "heavy = {'dataclasses', 'inspect'}\n"
+        "before = heavy & set(sys.modules)\n"
+        "import curvetqft.cli\n"
+        "print(sorted(heavy & set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -183,6 +183,23 @@ def test_glue_and_cut_validate_only_the_surface_they_build(monkeypatch):
     assert checked == [cut, glued]
 
 
+def test_cut_check_fails_a_map_that_is_not_injective(monkeypatch):
+    # One basis column duplicated keeps the three ranks equal, so only the
+    # injectivity test stands between this map and a passing report.
+    real = gm.glue_map
+
+    def collapsed(info, m_src, m_tgt):
+        result = real(info, m_src, m_tgt)
+        columns = result.basis_columns
+        return gm.GlueResult(result.images, (columns[0],) + columns[:-1])
+
+    monkeypatch.setattr(gm, "glue_map", collapsed)
+    report = gm.cut_check(tc.build_module, sf.annulus(2, 2, (1, -1)), 0, 2)
+    assert report.rank_original == report.rank_cut == report.rank_reglued == 4
+    assert report.map_injective is False
+    assert report.passed is False
+
+
 @pytest.mark.parametrize("pair", [0, 1])
 def test_cut_check_torus(pair):
     report = gm.cut_check(tc.build_module, sf.punctured_torus(2), pair, 2)

@@ -189,6 +189,12 @@ def test_problem_validation():
         ls.LiftProblem(((1, 1), (0, 1), (1, 0)))
     with pytest.raises(ls.LiftError):
         ls.LiftProblem(search_box=1)
+    # A box that is no int, or no pattern, is refused here, not by the scan.
+    for box in (2.5, None, "4"):
+        with pytest.raises(ls.LiftError, match="search box must be an int"):
+            ls.LiftProblem(search_box=box)
+    with pytest.raises(ls.LiftError, match="three rows"):
+        ls.LiftProblem(pattern=None)
 
 
 def test_mod2_consistency_against_computed_maps():
