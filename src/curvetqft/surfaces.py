@@ -101,10 +101,11 @@ class MarkedSurface(_SurfaceFields):
 
     def layout(self, crossings: tuple[int, ...]) -> SlotLayout:
         """The slot layout for a crossing vector, built once."""
-        if crossings not in self._layouts:
+        layouts = self._layouts
+        if crossings not in layouts:
             _check_length(self, crossings)
-            self._layouts[crossings] = SlotLayout(self, crossings)
-        return self._layouts[crossings]
+            layouts[crossings] = SlotLayout(self, crossings)
+        return layouts[crossings]
 
     @property
     def num_pieces(self) -> int:
@@ -603,19 +604,20 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
     except TypeError:
         raise DividingSetError("a dividing set must hold tuples; use make_dividing_set") from None
     try:
-        _check_length(surface, k.crossings)
-        if len(k.chords) != surface.num_pieces:
+        crossings, chords_per_piece, closed = k
+        _check_length(surface, crossings)
+        if len(chords_per_piece) != surface.num_pieces:
             raise DividingSetError("chord data does not cover every piece")
-        if operator.index(k.closed) < 0:
+        if operator.index(closed) < 0:
             raise DividingSetError("negative closed-component count")
-        if any(operator.index(c) < 0 for c in k.crossings):
+        if any(operator.index(c) < 0 for c in crossings):
             raise DividingSetError("negative crossing count")
         counts = [word.count((MARK,)) for word in surface.words]
-        for ((pa, _), (pb, _)), r in zip(surface.pairs, k.crossings):
+        for ((pa, _), (pb, _)), r in zip(surface.pairs, crossings):
             counts[pa] += r
             counts[pb] += r
         for p, count in enumerate(counts):
-            chords = k.chords[p]
+            chords = chords_per_piece[p]
             ends: list[int] = []  # high ends of the open chords, innermost last
             slot = 0  # the next unvisited slot
             for a, b in chords:
@@ -649,7 +651,7 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
         raise DividingSetError(
             "crossings and the closed count must be ints and chords (lo, hi) int pairs"
         ) from None
-    return surface.layout(k.crossings)
+    return surface.layout(crossings)
 
 
 def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...] | None:

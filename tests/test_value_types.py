@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from curvetqft import gluemaps as gm
@@ -140,6 +143,8 @@ def test_module_index_is_not_compared():
     assert repr(built) == repr(other)
     assert "index" not in repr(built)
     assert other.index == {}
+    for twin in (copy.copy(built), pickle.loads(pickle.dumps(built))):
+        assert twin == built and twin.index == built.index
 
 
 def test_checked_types_reject_bad_input():
