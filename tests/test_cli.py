@@ -383,9 +383,9 @@ def test_console_entry_point():
 
 
 def test_cli_import_loads_no_dataclass_machinery():
-    # dataclasses imports inspect, ast, dis and tokenize, and builds each
-    # class by exec; the CLI's cold start pays for neither, unless the
-    # bare interpreter already has them.
+    # dataclasses imports inspect, ast, dis and tokenize and builds each
+    # class by exec of generated code; the CLI's cold start should pay for
+    # none of it, unless the bare interpreter already loads those modules.
     code = (
         "import sys\n"
         "heavy = {'dataclasses', 'inspect'}\n"
