@@ -25,7 +25,6 @@ triple.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from typing import NamedTuple
@@ -498,11 +497,6 @@ class SlotLayout:
         piece, i = self.surface.pairs[key[1]][key[2]]
         return piece, self.first[piece][i] + key[3]
 
-    def partner_key(self, key: SlotKey) -> SlotKey:
-        _, pair, side, pos = key
-        r = self.crossings[pair]
-        return ("x", pair, 1 - side, r - 1 - pos)
-
     def interval_for_word_position(self, piece: int, word_idx: int) -> int:
         """Interval index (between slot i and i+1) at the start of a token.
 
@@ -809,27 +803,12 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _find_bigon(layout: SlotLayout, k: DividingSet):
-    """Slot keys of the first chord joining consecutive crossings of one segment side."""
-    for keys, bigons, chords in zip(layout.slots, layout.bigon_slots, k.chords):
-        if not bigons:
-            continue
-        for a, b in chords:
-            if b - a == 1 and a in bigons or a - b == 1 and b in bigons:
-                return keys[a], keys[b]
-    return None
-
-
-def _next_bigon(layout: SlotLayout, mate: dict, alive: dict):
-    """First bigon, by piece and low slot, on the surviving slot keys."""
-    for keys in layout.slots:
-        for key in keys:
-            other = mate.get(key)
-            if key[0] != "x" or other is None or other[0] != "x" \
-                    or other[1] != key[1] or other[2] != key[2] or other[3] < key[3]:
-                continue
-            live = alive[key[1], key[2]]
-            if live[bisect.bisect_left(live, key[3]) + 1] == other[3]:
-                return key, other
+    """(piece, a) of the first chord (a, a+1) whose low end a is a bigon slot."""
+    for p, (bigons, chords) in enumerate(zip(layout.bigon_slots, k.chords)):
+        if bigons:
+            for a, b in chords:
+                if b - a == 1 and a in bigons:
+                    return p, a
     return None
 
 
@@ -849,57 +828,42 @@ def canonicalize(surface: MarkedSurface, k: DividingSet) -> DividingSet:
 def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
     """canonicalize without validation, for a set laid out by layout.
 
-    Works on the slot keys of k's layout throughout.  A removal deletes
-    two consecutive crossings of one segment side and their partners, so
-    the surviving keys stay partnered and keep their boundary order:
-    consecutive crossings are neighbours among the surviving positions
-    of a side.  The keys are renumbered into the final layout once.
+    Each step removes the first bigon (a, a+1), crossings pos and pos+1
+    of one side of a pair with r crossings, in piece p.  Its partners
+    are crossings r-2-pos and r-1-pos of the other side, slots b and b+1
+    of piece q.  The chords at b and b+1 join into one chord, or close a
+    circle when they are one chord.  The later slots of p and q move
+    down by 2, and the next step reads the layout with r - 2 crossings.
     """
+    surface = layout.surface
     bigon = _find_bigon(layout, k)
-    if bigon is None:
-        return k
-    mate: dict[SlotKey, SlotKey] = {}
-    for keys, chords in zip(layout.slots, k.chords):
-        for a, b in chords:
-            mate[keys[a]] = keys[b]
-            mate[keys[b]] = keys[a]
-    # Surviving crossing positions of each segment side, ascending.
-    alive = {
-        (pair, side): list(range(r)) for pair, r in enumerate(k.crossings) for side in (0, 1)
-    }
-    crossings = list(k.crossings)
-    closed = k.closed
     while bigon is not None:
-        ka, kb = bigon
-        pa, pb = layout.partner_key(ka), layout.partner_key(kb)
-        for key in (ka, kb, pa, pb):
-            live = alive[key[1], key[2]]
-            del live[bisect.bisect_left(live, key[3])]
-        del mate[ka], mate[kb]
-        end_a, end_b = mate.pop(pa), mate.pop(pb)
-        if end_a == pb:
+        p, a = bigon
+        crossings, chords, closed = k
+        _, pair, side, pos = layout.slots[p][a]
+        r = crossings[pair]
+        q, i = surface.pairs[pair][1 - side]
+        b = layout.first[q][i] + r - 2 - pos
+        pieces = list(chords)
+        pieces[p] = [c for c in chords[p] if c[0] != a]
+        cut = [c for c in pieces[q] if b in c or b + 1 in c]
+        pieces[q] = [c for c in pieces[q] if c not in cut]
+        if len(cut) == 1:
             closed += 1
         else:
-            mate[end_a] = end_b
-            mate[end_b] = end_a
-        crossings[ka[1]] -= 2
-        bigon = _next_bigon(layout, mate, alive)
+            pieces[q].append(tuple(sorted(x for c in cut for x in c if x not in (b, b + 1))))
 
-    final = layout.surface.layout(tuple(crossings))
+        def moved(piece, x):
+            return x - 2 * (piece == p and x > a) - 2 * (piece == q and x > b)
 
-    def slot(key: SlotKey) -> tuple[int, int]:
-        if key[0] == "x":
-            _, pair, side, pos = key
-            key = ("x", pair, side, bisect.bisect_left(alive[pair, side], pos))
-        return final.slot_of(key)
-
-    chords: list[list[Chord]] = [[] for _ in k.chords]
-    for key, other in mate.items():
-        piece, a = slot(key)
-        b = slot(other)[1]
-        if a < b:
-            chords[piece].append((a, b))
-    return make_dividing_set(crossings, chords, closed)
+        for piece in {p, q}:
+            pieces[piece] = tuple(sorted(
+                (moved(piece, x), moved(piece, y)) for x, y in pieces[piece]))
+        crossings = crossings[:pair] + (r - 2,) + crossings[pair + 1:]
+        k = DividingSet(crossings, tuple(pieces), closed)
+        layout = surface.layout(crossings)
+        bigon = _find_bigon(layout, k)
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -466,14 +466,15 @@ def test_build_realizes_each_row_once(monkeypatch):
     # other arc does, so the walk yields no other arc there; _owns decides
     # the rest.  A disk build never calls it, and the torus build calls it
     # for 263 of its 606 arcs.  Only a member whose rotated chords hold a
-    # bigon is reduced, and each generator is graded once.
+    # bigon is reduced, and each generator is graded once.  The reduction
+    # builds its sorted chords itself, with no make_dividing_set.
     cases = [
         (sf.disk(12), 0, 220,
          {"_rotate": 220, "_owns": 0, "make_dividing_set": 0,
           "_arcs": 220, "_reduce": 0, "grading": 132}),
         (sf.punctured_torus(4), 3, 280,
          {"_rotate": 466, "_owns": 263,
-          "make_dividing_set": 776, "_arcs": 606, "_reduce": 776, "grading": 100}),
+          "make_dividing_set": 0, "_arcs": 606, "_reduce": 776, "grading": 100}),
     ]
     calls = {}
 
