@@ -50,20 +50,23 @@ class LiftProblem(_ProblemFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         try:
-            valid = len(self.pattern) == 3 and all(
-                len(r) == 3 and all(v in (0, 1) for v in r) for r in self.pattern)
-        except TypeError:  # the pattern or a row has no length
+            # Rows given as lists are stored as tuples, so the problem
+            # hashes and compares equal to the same pattern given as tuples.
+            pattern = tuple(map(tuple, self.pattern))
+            valid = len(pattern) == 3 and all(
+                len(r) == 3 and all(v in (0, 1) for v in r) for r in pattern)
+        except TypeError:  # the pattern or a row is not iterable
             valid = False
         if not valid:
             raise LiftError("pattern must be three rows of three 0/1 entries")
-        if self.pattern[0][0] != 1:
+        if pattern[0][0] != 1:
             raise LiftError(
                 "the normalization writes a as (1, 0) with functional 1 "
                 "sending it to the generator; pattern[0][0] must be 1"
             )
         if not isinstance(self.search_box, int) or self.search_box < 2:
             raise LiftError(f"search box must be an int of at least 2, got {self.search_box!r}")
-        return self
+        return super().__new__(cls, pattern, *self[1:])
 
 
 def standard_problem(allow_signs: bool = False, search_box: int = 4) -> LiftProblem:
@@ -219,7 +222,7 @@ def replay_certificate(certificate: dict) -> bool:
     test, and a deduction chain must be sign-free and pass _verify_steps.
     """
     problem = LiftProblem(
-        tuple(tuple(r) for r in certificate["pattern"]),
+        certificate["pattern"],
         certificate["allow_signs"],
         certificate["box"],
     )

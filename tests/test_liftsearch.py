@@ -197,6 +197,17 @@ def test_problem_validation():
         ls.LiftProblem(pattern=None)
 
 
+def test_pattern_rows_given_as_lists_are_stored_as_tuples():
+    listed = ls.LiftProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert listed == ls.standard_problem()
+    assert listed.pattern == ls.STANDARD_PATTERN
+    assert hash(listed) == hash(ls.standard_problem())
+    # It is the standard problem, so it gets the deduction chain and the
+    # computed maps match it.
+    assert ls.search_lift(listed).certificate == ls.search_lift(ls.standard_problem()).certificate
+    assert ls.mod2_consistency(listed) == ls.STANDARD_PATTERN
+
+
 def test_mod2_consistency_against_computed_maps():
     assert ls.mod2_consistency(ls.standard_problem()) == ls.STANDARD_PATTERN
 
