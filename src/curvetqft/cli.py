@@ -54,7 +54,7 @@ INPUT_ERRORS = (
     LiftError,
     fileio.FormatError,
     BoundExceededError,
-    FileNotFoundError,
+    OSError,
     UsageError,
 )
 

@@ -263,7 +263,9 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError covers nesting deeper than the decoder can follow.
         raise FormatError(f"cannot read {path}: {exc}")
 
 

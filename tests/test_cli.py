@@ -262,6 +262,29 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+UNREADABLE = {"not-utf8": b'{"surface": "\xff\xfe"}', "deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE), ids=str)
+@pytest.mark.parametrize("option", [("class", "--k"), ("module", "--surface"),
+                                    ("lift", "--replay")], ids="-".join)
+def test_unreadable_file_exits_2(tmp_path, capsys, option, content):
+    # Bytes that are not UTF-8, and nesting deeper than the JSON decoder
+    # follows, are bad input like any malformed file.
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[content])
+    code, out, err = run_cli(capsys, *option, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "lift", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _mutate(rng, doc):
     """doc with one node replaced by a random JSON value, or deleted."""
     atoms = [None, True, 0, 1, -1, 5, 2.5, "x", "+", "mark", "ident", [], {},
