@@ -30,10 +30,6 @@ def _reads(tree) -> set[str]:
     return names
 
 
-def _is_private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
 def _bound_names(node) -> list[str]:
     """Names a module-level statement defines, for the private-name check."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -68,6 +64,6 @@ def test_every_private_module_name_is_read():
         for name, tree in MODULES.items()
         for node in tree.body
         for bound in _bound_names(node)
-        if _is_private(bound) and bound not in reads
+        if bound.startswith("_") and not bound.startswith("__") and bound not in reads
     ]
     assert unread == []
