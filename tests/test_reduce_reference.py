@@ -6,7 +6,9 @@ crossing positions of each segment side, a scan over every key after
 each removal, and one renumbering into the final layout.  canonicalize
 must give the same set on seeded random sets, colorable or not, some
 with closed circles, on the digest surfaces and on a genus 2 surface
-with four seams in one piece.
+with four seams in one piece.  The reference also runs in the opposite
+order, last bigon first, to show that the order in which bigons are
+removed does not change the result on these sets.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ def _reference_find_bigon(layout, k):
     return None
 
 
-def _reference_next_bigon(layout, mate, alive):
-    """First bigon, by piece and low slot, on the surviving slot keys."""
-    for keys in layout.slots:
-        for key in keys:
+def _reference_next_bigon(layout, mate, alive, last_first=False):
+    """First bigon, by piece and low slot, on the surviving slot keys.
+
+    With last_first, the last one: highest piece, then highest low slot.
+    """
+    order = reversed if last_first else iter
+    for keys in order(layout.slots):
+        for key in order(keys):
             other = mate.get(key)
             if key[0] != "x" or other is None or other[0] != "x" \
                     or other[1] != key[1] or other[2] != key[2] or other[3] < key[3]:
@@ -48,10 +54,13 @@ def _reference_next_bigon(layout, mate, alive):
     return None
 
 
-def reference_reduce(layout, k):
-    """Greedy bigon reduction on the slot keys of k's layout."""
-    bigon = _reference_find_bigon(layout, k)
-    if bigon is None:
+def reference_reduce(layout, k, last_first=False):
+    """Greedy bigon reduction on the slot keys of k's layout.
+
+    Bigons are removed first by piece, then by low slot, or in the
+    opposite order with last_first.
+    """
+    if _reference_find_bigon(layout, k) is None:
         return k
     mate = {}
     for keys, chords in zip(layout.slots, k.chords):
@@ -63,6 +72,7 @@ def reference_reduce(layout, k):
     }
     crossings = list(k.crossings)
     closed = k.closed
+    bigon = _reference_next_bigon(layout, mate, alive, last_first)
     while bigon is not None:
         ka, kb = bigon
         pa, pb = _partner_key(layout, ka), _partner_key(layout, kb)
@@ -77,7 +87,7 @@ def reference_reduce(layout, k):
             mate[end_a] = end_b
             mate[end_b] = end_a
         crossings[ka[1]] -= 2
-        bigon = _reference_next_bigon(layout, mate, alive)
+        bigon = _reference_next_bigon(layout, mate, alive, last_first)
 
     final = layout.surface.layout(tuple(crossings))
 
@@ -135,3 +145,12 @@ def test_canonicalize_matches_reference(case):
     # On a surface with seams the sets exercise the reduction, not only
     # its early return; a disk has no bigon slots.
     assert reduced > count // 10 if surface.num_pairs else reduced == 0
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_removal_order_does_not_change_the_result(case):
+    surface, max_crossings, count = CASES[case]
+    rng = random.Random(100 + case)
+    for k in _random_sets(surface, rng, count, max_crossings):
+        got = sf.canonicalize(surface, k)
+        assert got == reference_reduce(surface.layout(k.crossings), k, last_first=True)
