@@ -52,9 +52,12 @@ class LiftProblem(_ProblemFields):
         try:
             # Rows given as lists are stored as tuples, so the problem
             # hashes and compares equal to the same pattern given as tuples.
+            # An entry must be an int, not a float or bool equal to one, so
+            # that a written certificate reads back (fileio requires ints).
             pattern = tuple(map(tuple, self.pattern))
             valid = len(pattern) == 3 and all(
-                len(r) == 3 and all(v in (0, 1) for v in r) for r in pattern)
+                len(r) == 3 and all(type(v) is int and v in (0, 1) for v in r)
+                for r in pattern)
         except TypeError:  # the pattern or a row is not iterable
             valid = False
         if not valid:
