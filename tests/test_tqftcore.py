@@ -459,15 +459,20 @@ def test_full_rank_presets_have_binomial_graded_ranks(surface, bound):
 
 def test_build_realizes_each_row_once(monkeypatch):
     # Every bypass on a disk is realizable, and each triple is realized
-    # from one of its three members only: one rotation per relation row.
+    # from one of its three members only: its owner.  On a disk that is
+    # one rotation per relation row.  On a surface with seams the owner
+    # can meet the same row again along another arc, when both other
+    # members reduce to the same sets: the torus build makes 466 owned
+    # surgeries for 280 rows, and annulus(2,2) at bound 4 makes 30 for 13.
     # The arc walk reads each rotation from how the chords nest.  An arc
-    # from the parent
-    # chord always owns its triple, and on a piece with no bigon slots no
-    # other arc does, so the walk yields no other arc there; _owns decides
-    # the rest.  A disk build never calls it, and the torus build calls it
-    # for 263 of its 606 arcs.  Only a member whose rotated chords hold a
-    # bigon is reduced, and each generator is graded once.  The reduction
-    # builds its sorted chords itself, with no make_dividing_set.
+    # from the parent chord always owns its triple, and on a piece with no
+    # bigon slots no other arc does, so the walk yields no other arc there;
+    # _owns decides the rest.  A disk build never calls it, and the torus
+    # build calls it for 263 of its 606 arcs.  Only a member whose rotated
+    # chords hold a bigon is reduced, and each generator is graded once.
+    # The reduction builds its sorted chords itself, with no
+    # make_dividing_set.  The _reduce counts pin the reduction work of the
+    # whole glued ladder.
     cases = [
         (sf.disk(12), 0, 220,
          {"_rotate": 220, "_owns": 0, "make_dividing_set": 0,
@@ -475,6 +480,18 @@ def test_build_realizes_each_row_once(monkeypatch):
         (sf.punctured_torus(4), 3, 280,
          {"_rotate": 466, "_owns": 263,
           "make_dividing_set": 0, "_arcs": 606, "_reduce": 776, "grading": 100}),
+        (sf.annulus(2, 2), 3, 5,
+         {"_rotate": 6, "_owns": 6,
+          "make_dividing_set": 0, "_arcs": 10, "_reduce": 8, "grading": 8}),
+        (sf.annulus(2, 2), 4, 13,
+         {"_rotate": 30, "_owns": 12,
+          "make_dividing_set": 0, "_arcs": 34, "_reduce": 56, "grading": 14}),
+        (sf.annulus(4, 4), 3, 138,
+         {"_rotate": 146, "_owns": 188,
+          "make_dividing_set": 0, "_arcs": 312, "_reduce": 110, "grading": 76}),
+        (sf.punctured_torus(2), 3, 57,
+         {"_rotate": 112, "_owns": 52,
+          "make_dividing_set": 0, "_arcs": 130, "_reduce": 204, "grading": 30}),
     ]
     calls = {}
 
