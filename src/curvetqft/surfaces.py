@@ -834,36 +834,61 @@ def _reduce(layout: SlotLayout, k: DividingSet) -> DividingSet:
     of piece q.  The chords at b and b+1 join into one chord, or close a
     circle when they are one chord.  The later slots of p and q move
     down by 2, and the next step reads the layout with r - 2 crossings.
+
+    The steps work on partner arrays: mates[p][x] is the other end of
+    the chord at slot x of piece p.  A piece with no bigon slots is
+    never touched, so it keeps its chords and has no array.
     """
-    surface = layout.surface
     bigon = _find_bigon(layout, k)
+    if bigon is None:
+        return k
+    surface = layout.surface
+    crossings, chords, closed = k
+    mates = []
+    for bigons, piece in zip(layout.bigon_slots, chords):
+        m = None
+        if bigons:
+            m = [0] * (2 * len(piece))
+            for x, y in piece:
+                m[x] = y
+                m[y] = x
+        mates.append(m)
     while bigon is not None:
         p, a = bigon
-        crossings, chords, closed = k
         _, pair, side, pos = layout.slots[p][a]
         r = crossings[pair]
         q, i = surface.pairs[pair][1 - side]
         b = layout.first[q][i] + r - 2 - pos
-        pieces = list(chords)
-        pieces[p] = [c for c in chords[p] if c[0] != a]
-        cut = [c for c in pieces[q] if b in c or b + 1 in c]
-        pieces[q] = [c for c in pieces[q] if c not in cut]
-        if len(cut) == 1:
+        m = mates[q]
+        x, y = m[b], m[b + 1]
+        if x == b + 1:
             closed += 1
         else:
-            pieces[q].append(tuple(sorted(x for c in cut for x in c if x not in (b, b + 1))))
-
-        def moved(piece, x):
-            return x - 2 * (piece == p and x > a) - 2 * (piece == q and x > b)
-
-        for piece in {p, q}:
-            pieces[piece] = tuple(sorted(
-                (moved(piece, x), moved(piece, y)) for x, y in pieces[piece]))
+            m[x] = y
+            m[y] = x
+        if p == q:
+            lo, hi = (a, b) if a < b else (b, a)
+            del m[hi:hi + 2], m[lo:lo + 2]
+            mates[p] = [x - 2 * ((x > lo) + (x > hi)) for x in m]
+        else:
+            for piece, s in ((p, a), (q, b)):
+                m = mates[piece]
+                del m[s:s + 2]
+                mates[piece] = [x - 2 * (x > s) for x in m]
         crossings = crossings[:pair] + (r - 2,) + crossings[pair + 1:]
-        k = DividingSet(crossings, tuple(pieces), closed)
         layout = surface.layout(crossings)
-        bigon = _find_bigon(layout, k)
-    return k
+        bigon = None
+        for p, (bigons, m) in enumerate(zip(layout.bigon_slots, mates)):
+            if m is not None:
+                found = [c for c in bigons if m[c] == c + 1]
+                if found:
+                    bigon = p, min(found)
+                    break
+    chords = tuple(
+        piece if m is None else tuple([(x, y) for x, y in enumerate(m) if x < y])
+        for piece, m in zip(chords, mates)
+    )
+    return DividingSet(crossings, chords, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,9 +1137,11 @@ def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
 
     Each triple is met from exactly one of its members (see _owns), so a
     module build that runs this over every generator realizes each
-    relation row once.  k must be a generator, so it is not validated,
-    and it is bigon-free, so _rotate reduces only members whose rotated
-    chords hold a bigon.
+    relation row from its owner alone.  On a surface with seams the owner
+    can meet a row again along another arc, when both other members
+    reduce to the same sets, so a row can come more than once.  k must be
+    a generator, so it is not validated, and it is bigon-free, so _rotate
+    reduces only members whose rotated chords hold a bigon.
     """
     layout = surface.layout(k.crossings)
     bigon_slots = layout.bigon_slots

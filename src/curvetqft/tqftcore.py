@@ -121,8 +121,10 @@ def expected_graded_ranks(surface: MarkedSurface) -> dict[int, int]:
 def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModule:
     """Assemble and reduce the bypass presentation at the given bound.
 
-    Each relation row is realized once, from the generator that owns its
-    triple, and all rows are reduced by one gf2.rref call.  A member with
+    Each relation row is realized from the generator that owns its
+    triple, and all rows are reduced by one gf2.rref call.  On a surface
+    with seams the owner can realize a row more than once, along
+    different arcs; the rows are a set, so a repeat adds nothing.  A member with
     a contractible circle contributes nothing.  A member outside the
     generators, or of another grading than the owner, is a surgery bug
     and raises ModuleBuildError.  Only generators are graded, each once,
