@@ -195,6 +195,13 @@ def test_problem_validation():
             ls.LiftProblem(search_box=box)
     with pytest.raises(ls.LiftError, match="three rows"):
         ls.LiftProblem(pattern=None)
+    # A float or bool entry would compare equal to the standard problem,
+    # but its certificate would not read back through fileio.
+    for pattern in (((1.0, 1, 0), (0, True, 1), (1, 0, 1)),
+                    ((1, 1, 0), (0, True, 1), (1, 0, 1)),
+                    ((True, 1, 0), (0, 1, 1), (1, 0, 1))):
+        with pytest.raises(ls.LiftError, match="three rows of three 0/1 entries"):
+            ls.LiftProblem(pattern)
 
 
 def test_pattern_rows_given_as_lists_are_stored_as_tuples():
@@ -206,16 +213,6 @@ def test_pattern_rows_given_as_lists_are_stored_as_tuples():
     # computed maps match it.
     assert ls.search_lift(listed).certificate == ls.search_lift(ls.standard_problem()).certificate
     assert ls.mod2_consistency(listed) == ls.STANDARD_PATTERN
-
-
-def test_pattern_entries_that_only_equal_0_or_1_are_refused():
-    # A float or bool entry would compare equal to the standard problem,
-    # but its certificate would not read back through fileio.
-    for pattern in (((1.0, 1, 0), (0, True, 1), (1, 0, 1)),
-                    ((1, 1, 0), (0, True, 1), (1, 0, 1)),
-                    ((True, 1, 0), (0, 1, 1), (1, 0, 1))):
-        with pytest.raises(ls.LiftError, match="three rows of three 0/1 entries"):
-            ls.LiftProblem(pattern)
 
 
 def test_mod2_consistency_against_computed_maps():
