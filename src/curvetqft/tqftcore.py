@@ -124,11 +124,11 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
     Each relation row is realized from the generator that owns its
     triple, and all rows are reduced by one gf2.rref call.  On a surface
     with seams the owner can realize a row more than once, along
-    different arcs; the rows are a set, so a repeat adds nothing.  A member with
-    a contractible circle contributes nothing.  A member outside the
-    generators, or of another grading than the owner, is a surgery bug
-    and raises ModuleBuildError.  Only generators are graded, each once,
-    by the enumeration that sorts them.
+    different arcs; the rows are a set, so a repeat adds nothing.  A
+    member with a contractible circle contributes nothing.  A member
+    outside the generators, or of another grading than the owner, is a
+    surgery bug and raises ModuleBuildError.  Only generators are graded,
+    each once, by the enumeration that sorts them.
     """
     gradings, generators = graded_dividing_sets(surface, bound)
     index = {g.encode(): i for i, g in enumerate(generators)}
