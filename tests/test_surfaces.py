@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -17,6 +18,7 @@ from curvetqft import surfaces as sf
 from curvetqft.cli import _surface_from_args, build_parser
 from curvetqft.gluemaps import attach_arc_datum, glue_surfaces
 from test_digests import DIGESTS, REGION_SURFACES, _random_sets
+from test_reduce_reference import genus2_layout_g
 
 
 # ---------------------------------------------------------------------------
@@ -941,37 +943,71 @@ ARC_WALK_CASES = BYPASS_DIGEST_CASES + [
 ]
 
 
-def test_arc_walk_matches_reference():
-    # The same arcs, rotations and order as the sorting walk, on every
-    # generator of these cases and on seeded random sets, canonical or not.
-    rng = random.Random(20)
-    sets = [
+@functools.cache
+def _layout_g_generators():
+    """The first 300 generators of genus 2 layout G at bound 3 with bigon slots.
+
+    Layout G has four seams in one piece; the other walk cases have at
+    most two.
+    """
+    surface = genus2_layout_g()
+    with_bigons = (k for k in sf.enumerate_dividing_sets(surface, 3)
+                   if surface.layout(k.crossings).bigon_slots[0])
+    return [(surface, k) for k in itertools.islice(with_bigons, 300)]
+
+
+def _case_generators():
+    return [
         (surface, k)
         for surface, bound in ARC_WALK_CASES
         for k in sf.enumerate_dividing_sets(surface, bound)
-    ] + [(surface, k) for surface in REGION_SURFACES for k in _random_sets(surface, rng, 100)]
+    ]
+
+
+def _checked_arcs(sets):
+    """The number of arcs of the sets, each set's walk checked against the reference."""
     arcs = 0
     for surface, k in sets:
         layout = sf.validate_dividing_set(surface, k)
         got = [(p, arc_chords, tuple(q), i) for p, arc_chords, q, i in sf._arcs(k)]
         assert got == list(_reference_arcs(layout, k))
         arcs += len(got)
-    assert arcs == 4565
+    return arcs
+
+
+def test_arc_walk_matches_reference():
+    # The same arcs, rotations and order as the sorting walk, on every
+    # generator of these cases and on seeded random sets, canonical or
+    # not, and on layout G's first generators with bigon slots.
+    rng = random.Random(20)
+    sets = _case_generators() + [
+        (surface, k) for surface in REGION_SURFACES for k in _random_sets(surface, rng, 100)
+    ]
+    assert _checked_arcs(sets) == 4565
+    assert _checked_arcs(_layout_g_generators()) == 3452
+
+
+def _checked_owned(sets):
+    """The number of owned surgeries of the sets, each set's checked against the reference."""
+    owned = 0
+    for surface, k in sets:
+        layout = sf.validate_dividing_set(surface, k)
+        expected = []
+        for p, arc_chords, q, i in _reference_arcs(layout, k):
+            bigons = layout.bigon_slots[p]
+            if i == 0 or bigons and sf._owns(bigons, q, i):
+                expected.append(sf._rotate(layout, k, p, arc_chords, q, i))
+        assert list(sf.owned_bypass_surgeries(surface, k)) == expected
+        owned += len(expected)
+    return owned
 
 
 def test_owned_walk_matches_reference():
     # The owned walk rotates, in order, exactly the reference arcs whose
     # set owns the triple: every parent arc, and a sibling arc only where
     # _owns says so on a piece with bigon slots.
-    for surface, bound in ARC_WALK_CASES:
-        for k in sf.enumerate_dividing_sets(surface, bound):
-            layout = sf.validate_dividing_set(surface, k)
-            expected = []
-            for p, arc_chords, q, i in _reference_arcs(layout, k):
-                bigons = layout.bigon_slots[p]
-                if i == 0 or bigons and sf._owns(bigons, q, i):
-                    expected.append(sf._rotate(layout, k, p, arc_chords, q, i))
-            assert list(sf.owned_bypass_surgeries(surface, k)) == expected
+    _checked_owned(_case_generators())
+    assert _checked_owned(_layout_g_generators()) == 2761
 
 
 def test_bypass_on_lens_circle_configuration_gives_cross_arcs():
