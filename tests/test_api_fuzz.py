@@ -5,7 +5,9 @@ bypass arc, a gluing datum), replaces or deletes one node of it with a
 float, a list, None, a string, or a negative or out-of-range int, and
 calls the entry point on the result.  A call may succeed or raise one of
 the package's input errors; anything else (a TypeError, an IndexError, a
-ModuleBuildError) fails the test.
+ModuleBuildError) fails the test.  Fuzzed surfaces must also get the
+same SurfaceInfo or SurfaceError message from validate_surface as from
+a reference copy of it.
 """
 
 from __future__ import annotations
@@ -98,6 +100,100 @@ def test_fuzzed_surfaces_never_escape(data, case):
     # A surface that passes validation builds, and cuts or refuses.
     _calls(lambda: tc.build_module(fuzzed, 1),
            *(functools.partial(cut_surface, fuzzed, p) for p in range(fuzzed.num_pairs)))
+
+
+def _reference_validate_surface(surface):
+    """validate_surface as it was when each token was tested by up to three _is_token calls."""
+    try:
+        hash(surface)
+    except TypeError:
+        raise sf.SurfaceError("words and pairs must be tuples; a list is unhashable") from None
+    try:
+        lengths = [len(word) for word in surface.words]
+    except TypeError:
+        raise sf.SurfaceError(
+            f"words must be a tuple of boundary words, got {surface.words!r}"
+        ) from None
+    errors = []
+    seen_positions = {}
+    try:
+        for k, (pos_a, pos_b) in enumerate(surface.pairs):
+            if pos_a == pos_b:
+                errors.append(f"pair {k} identifies a segment with itself")
+            for pos in (pos_a, pos_b):
+                p, i = pos
+                if not (0 <= p < len(lengths) and 0 <= i < lengths[p]):
+                    errors.append(f"pair {k} references missing token {pos}")
+                    continue
+                if not sf._is_token(surface.token(p, i), (sf.IDENT, k)):
+                    errors.append(f"token at {pos} is not identification segment {k}")
+                if pos in seen_positions:
+                    errors.append(f"segment {pos} belongs to more than one pair")
+                seen_positions[pos] = k
+    except (TypeError, ValueError):
+        raise sf.SurfaceError(
+            f"pairs must hold two (piece, token index) int positions each, got {surface.pairs!r}"
+        ) from None
+    for p, word in enumerate(surface.words):
+        if not word:
+            errors.append(f"piece {p} has an empty boundary word")
+        for i, tok in enumerate(word):
+            if (p, i) in seen_positions or any(
+                sf._is_token(tok, want)
+                for want in ((sf.MARK,), (sf.PLAIN, sf.POS), (sf.PLAIN, sf.NEG))
+            ):
+                continue
+            if isinstance(tok, tuple) and tok[:1] == (sf.IDENT,):
+                errors.append(f"identification segment at {(p, i)} is unpaired")
+            else:
+                errors.append(f"unknown token {tok!r} at {(p, i)}")
+    if errors:
+        raise sf.SurfaceError("; ".join(errors))
+
+    circles = sf._trace_boundary(surface.words, surface.pairs)
+    for n_marks, plains in circles:
+        if n_marks % 2 or n_marks < 2:
+            errors.append(f"odd or deficient marked-point count {n_marks} on a boundary circle")
+            continue
+        if len({sector for _, sector in plains}) < n_marks:
+            errors.append("two adjacent marked points with no segment between")
+        if len({surface.token(*pos)[1] * (-1) ** sector for pos, sector in plains}) > 1:
+            errors.append("labels do not alternate across marked points")
+
+    components = sf._surface_components(surface)
+    for group in components:
+        if not any(
+            surface.token(p, i)[0] != sf.IDENT
+            for p in group
+            for i in range(len(surface.words[p]))
+        ):
+            errors.append(f"component with pieces {group} has empty boundary")
+
+    if errors:
+        raise sf.SurfaceError("; ".join(errors))
+    return sf.SurfaceInfo(
+        euler=surface.euler_characteristic(),
+        marks_per_circle=tuple(n_marks for n_marks, _ in circles),
+        components=tuple(components),
+    )
+
+
+def _validated(validate, surface):
+    """validate(surface), or the message of the SurfaceError it raises."""
+    try:
+        return validate(surface)
+    except sf.SurfaceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=st.sampled_from(range(len(CASES))))
+def test_fuzzed_surfaces_validate_as_the_reference(data, case):
+    # _make skips the check that construction runs.
+    surface, _ = CASES[case]
+    fuzzed = sf.MarkedSurface._make(_mutate(data, (surface.words, surface.pairs)))
+    assert (_validated(sf.validate_surface, fuzzed)
+            == _validated(_reference_validate_surface, fuzzed))
 
 
 @settings(max_examples=60, deadline=None)
