@@ -316,6 +316,8 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
                 errors.append(f"pair {k} identifies a segment with itself")
             for pos in (pos_a, pos_b):
                 p, i = pos
+                if type(p) is not int or type(i) is not int:
+                    raise TypeError  # a bool or an int-valued float would find a token
                 if not (0 <= p < len(lengths) and 0 <= i < lengths[p]):
                     errors.append(f"pair {k} references missing token {pos}")
                     continue

@@ -179,8 +179,11 @@ ANNULUS_WORD = sf.annulus(2, 2).words
         (((0, 0), (0, 6.0)),),
         (((0, 0), 0),),
         ((0, 0),),
+        (((False, 0), (0, 6)),),
+        (((0, False), (0, 6)),),
     ],
-    ids=["string-index", "float-index", "int-position", "one-position"],
+    ids=["string-index", "float-index", "int-position", "one-position", "bool-piece",
+         "bool-index"],
 )
 def test_malformed_pair_position_rejected_at_construction(pairs):
     with pytest.raises(sf.SurfaceError, match="int positions"):
