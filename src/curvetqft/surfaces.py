@@ -285,6 +285,10 @@ def _surface_components(surface: MarkedSurface) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
+# The tokens that need no pair; an entry must also have the type shown.
+_BOUNDARY_TOKENS = frozenset({(MARK,), (PLAIN, POS), (PLAIN, NEG)})
+
+
 def _is_token(tok, want: Token) -> bool:
     """tok == want, entry types included: 1.0 and True compare equal to 1."""
     return tok == want and all(type(a) is type(b) for a, b in zip(tok, want))
@@ -334,8 +338,9 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
         if not word:
             errors.append(f"piece {p} has an empty boundary word")
         for i, tok in enumerate(word):
-            if (p, i) in seen_positions or any(
-                _is_token(tok, want) for want in ((MARK,), (PLAIN, POS), (PLAIN, NEG))
+            if (p, i) in seen_positions or (
+                tok in _BOUNDARY_TOKENS and type(tok[0]) is str
+                and (tok[0] == MARK or type(tok[1]) is int)
             ):
                 continue
             if isinstance(tok, tuple) and tok[:1] == (IDENT,):
