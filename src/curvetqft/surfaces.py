@@ -528,28 +528,26 @@ def _check_length(surface: MarkedSurface, crossings: tuple[int, ...]) -> None:
 # Faces of one piece
 # ---------------------------------------------------------------------------
 
-def _nest(chords: tuple[Chord, ...]) -> tuple[dict, dict]:
-    """(parent, children) of a piece's chords, by one stack pass.
+def _nest(chords: tuple[Chord, ...]) -> tuple[list[int], list[list[int]]]:
+    """(parent, children) of a piece's chords, by index, in one pass.
 
     The chords are a valid piece's, so ascending and non-crossing.
-    parent[c] is the chord directly enclosing c, or None, and children[c]
-    the chords directly inside c, ascending; children[None] holds the
-    top-level chords.  Cut along its chords, the piece has face 0, before
-    slot 0 and bounded by the top-level chords, and one inner face per
-    chord c, bounded by c and children[c]; parent[c] and its children
-    bound c's outer face.
+    parent[j] is the index of the chord directly enclosing chord j, or
+    -1, and children[j] the indices of the chords directly inside it,
+    ascending; children[-1] holds the top-level chords.  Cut along its
+    chords, the piece has face 0, before slot 0 and bounded by the
+    top-level chords, and one inner face j + 1 per chord j, bounded by j
+    and children[j]; parent[j] and its children bound j's outer face.
     """
-    parent = {}
-    children: dict = {None: []}
-    stack: list[Chord] = []
-    for chord in chords:
-        while stack and stack[-1][1] < chord[0]:
-            stack.pop()
-        up = stack[-1] if stack else None
-        parent[chord] = up
-        children[up].append(chord)
-        children[chord] = []
-        stack.append(chord)
+    parent: list[int] = []
+    children: list[list[int]] = [[] for _ in range(len(chords) + 1)]
+    for j, (a, _) in enumerate(chords):
+        # The chords still open at a are chord j - 1 and its ancestors.
+        up = j - 1
+        while up >= 0 and chords[up][1] < a:
+            up = parent[up]
+        parent.append(up)
+        children[up].append(j)
     return parent, children
 
 
@@ -682,11 +680,9 @@ def analyze_regions(surface: MarkedSurface, k: DividingSet) -> tuple[Region, ...
         parent, _ = _nest(chords)
         # A piece with no slots is its single face 0.
         intervals = [0] * (2 * len(chords) or 1)
-        for face, chord in enumerate(chords, 1):
-            # A parent precedes its children, so its interval is set.
-            up = parent[chord]
-            intervals[chord[0]] = face
-            intervals[chord[1]] = intervals[up[0]] if up else 0
+        for j, (a, b) in enumerate(chords):
+            intervals[a] = j + 1
+            intervals[b] = parent[j] + 1
         face_of.append(intervals)
     num_faces = len(sign)
     uf = _ParityUnionFind(num_faces)
@@ -980,14 +976,15 @@ def _holds_bigon(bigons: frozenset[int], q, j: int) -> bool:
 
 
 def _rotate(
-    layout: SlotLayout, k: DividingSet, piece: int, arc_chords, q, i, bigon_free=True
+    layout: SlotLayout, k: DividingSet, piece: int, arc, q, i, bigon_free=True
 ) -> tuple:
     """Canonical (front, back) of the bypass on three chords of one piece.
 
-    q and i are the chords' rotation (see _arcs).  front and back
-    hold the next two rotations of the six endpoints.  Every other chord
-    of the piece has both ends between two consecutive endpoints, so it
-    stays, as do the other pieces and the closed components.
+    arc holds the chords' indices in the piece, and q and i are their
+    rotation (see _arcs).  front and back hold the next two rotations of
+    the six endpoints.  Every other chord of the piece has both ends
+    between two consecutive endpoints, so it stays, as do the other
+    pieces and the closed components.
 
     Every such surgery is realizable.  front and back keep k's crossings,
     so its slot layout and coloring.  The slots between two neighbouring
@@ -998,15 +995,21 @@ def _rotate(
     bigon_free, a member can hold a bigon only in its rotated chords, so
     only a member with a rotated bigon is reduced.
     """
+    crossings, chords, closed = k
+    own = chords[piece]
+    before, after = chords[:piece], chords[piece + 1:]
+    # The arc's indices ascend, but for a start to the right (i = 2).
+    s, c, e = arc
+    a, b, d = (c, e, s) if i == 2 else arc
+    rest = own[:a] + own[a + 1:b] + own[b + 1:d] + own[d + 1:]
     bigons = layout.bigon_slots[piece]
-    rest = [c for c in k.chords[piece] if c not in arc_chords]
     out = []
     for step in (1, 2):
         # q is sorted, so each rotated chord is a (lo, hi) pair already.
         j = (i + step) % 3
-        rotated = tuple(sorted(rest + [(q[a], q[b]) for a, b in _ROTATIONS[j]]))
-        chords = k.chords[:piece] + (rotated,) + k.chords[piece + 1:]
-        member = DividingSet(k.crossings, chords, k.closed)
+        (x0, y0), (x1, y1), (x2, y2) = _ROTATIONS[j]
+        rotated = tuple(sorted(rest + ((q[x0], q[y0]), (q[x1], q[y1]), (q[x2], q[y2]))))
+        member = DividingSet(crossings, before + (rotated,) + after, closed)
         if not bigon_free or bigons and _holds_bigon(bigons, q, j):
             member = _reduce(layout, member)
         out.append(member)
@@ -1030,25 +1033,28 @@ def bypass_triple(
     if not (isinstance(arc.piece, int) and not isinstance(arc.piece, bool)
             and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
-    parent, _ = _nest(k.chords[arc.piece])
-    arc_chords = arc.start_chord, arc.cross_chord, arc.end_chord
-    for chord in arc_chords:
+    chords = k.chords[arc.piece]
+    position = {chord: j for j, chord in enumerate(chords)}
+    arc_indices = []
+    for chord in (arc.start_chord, arc.cross_chord, arc.end_chord):
         try:
             # index() rejects an int-valued float, which would find the int chord.
-            known = chord in parent and tuple(map(operator.index, chord)) == chord
+            known = chord in position and tuple(map(operator.index, chord)) == chord
         except TypeError:  # an unhashable chord, or an end that is not an int
             known = False
         if not known:
             raise BypassError(f"chord {chord} is not part of the dividing set")
+        arc_indices.append(position[chord])
     # The inner arc (s, c, e) is the outer arc (e, c, s).
     if arc.start_side == "inner":
-        end, cross, start = arc_chords
+        end, cross, start = arc_indices
     elif arc.start_side == "outer":
-        start, cross, end = arc_chords
+        start, cross, end = arc_indices
     else:
         raise BypassError("start_side must be 'inner' or 'outer'")
     # parent[cross] and its children bound the outer face, cross and its
     # children the inner one.
+    parent, _ = _nest(chords)
     up = parent[cross]
     if not (start == up or parent[start] == up) or not (end == cross or parent[end] == cross):
         raise BypassError("chord is not adjacent to the required face")
@@ -1056,15 +1062,15 @@ def bypass_triple(
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
     _colored(layout.signs)
     # q and i as _arcs reads them.
-    c0, c1 = cross
+    (s0, s1), (c0, c1), (e0, e1) = chords[start], chords[cross], chords[end]
     if start == up:
-        q, i = (up[0], c0, *end, c1, up[1]), 0
+        q, i = (s0, c0, e0, e1, c1, s1), 0
     elif start < cross:
-        q, i = (*start, c0, *end, c1), 1
+        q, i = (s0, s1, c0, e0, e1, c1), 1
     else:
-        q, i = (c0, *end, c1, *start), 2
+        q, i = (c0, e0, e1, c1, s0, s1), 2
     bigon_free = _find_bigon(layout, k) is None
-    return _rotate(layout, k, arc.piece, arc_chords, q, i, bigon_free)
+    return _rotate(layout, k, arc.piece, (start, cross, end), q, i, bigon_free)
 
 
 def _owns(bigons: frozenset[int], q, i: int) -> bool:
@@ -1085,37 +1091,39 @@ def _owns(bigons: frozenset[int], q, i: int) -> bool:
 
 
 def _arcs(k: DividingSet, bigon_slots=None):
-    """Each nontrivial outer arc on k once, as (piece, arc_chords, q, i).
+    """Each nontrivial outer arc on k once, as (piece, (s, c, e), q, i).
 
-    arc_chords is (start, cross, end): end is a child of cross (directly
-    inside it), start its parent (i = 0) or a sibling to the left (i = 1)
-    or right (i = 2).  So q, the six endpoints in ascending order, and i,
-    the rotation of _ROTATIONS they hold, follow from the nesting (_nest)
-    with no sort.  Parent first, then siblings, ends in chord order.  k is
-    valid.  Given the layout's bigon_slots, a piece with none yields its
-    parent arcs only: there no sibling arc owns its triple (see _owns).
+    s, c and e index the start, cross and end chords in the piece's
+    chords: e is a child of c (directly inside it), s its parent (i = 0)
+    or a sibling to the left (i = 1) or right (i = 2).  So q, the six
+    endpoints in ascending order, and i, the rotation of _ROTATIONS they
+    hold, follow from the nesting (_nest) with no sort, and so does the
+    order of the indices: s < c < e, but c < e < s for i = 2.  Parent
+    first, then siblings, ends in chord order.  k is valid.  Given the
+    layout's bigon_slots, a piece with none yields its parent arcs only:
+    there no sibling arc owns its triple (see _owns).
     """
-    for p, piece_chords in enumerate(k.chords):
+    for p, chords in enumerate(k.chords):
         siblings = bigon_slots is None or bigon_slots[p]
-        parent, children = _nest(piece_chords)
-        for cross in piece_chords:
-            ends = children[cross]
+        parent, children = _nest(chords)
+        for c, (c0, c1) in enumerate(chords):
+            ends = children[c]
             if not ends:
                 continue
-            c0, c1 = cross
-            up = parent[cross]
-            if up is not None:
-                for end in ends:
-                    yield p, (up, cross, end), (up[0], c0, *end, c1, up[1]), 0
+            up = parent[c]
+            if up >= 0:
+                u0, u1 = chords[up]
+                for e in ends:
+                    yield p, (up, c, e), (u0, c0, *chords[e], c1, u1), 0
             if not siblings:
                 continue
-            for start in children[up]:
-                if start < cross:
-                    for end in ends:
-                        yield p, (start, cross, end), (*start, c0, *end, c1), 1
-                elif start > cross:
-                    for end in ends:
-                        yield p, (start, cross, end), (c0, *end, c1, *start), 2
+            for s in children[up]:
+                if s < c:
+                    for e in ends:
+                        yield p, (s, c, e), (*chords[s], c0, *chords[e], c1), 1
+                elif s > c:
+                    for e in ends:
+                        yield p, (s, c, e), (c0, *chords[e], c1, *chords[s]), 2
 
 
 def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
@@ -1134,8 +1142,9 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     _colored(layout.signs)
     bigon_free = _find_bigon(layout, k) is None
     return (
-        (BypassArc(p, *arc_chords), *_rotate(layout, k, p, arc_chords, q, i, bigon_free))
-        for p, arc_chords, q, i in _arcs(k)
+        (BypassArc(p, *(k.chords[p][j] for j in arc)),
+         *_rotate(layout, k, p, arc, q, i, bigon_free))
+        for p, arc, q, i in _arcs(k)
     )
 
 
@@ -1152,6 +1161,6 @@ def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     """
     layout = surface.layout(k.crossings)
     bigon_slots = layout.bigon_slots
-    for p, arc_chords, q, i in _arcs(k, bigon_slots):
+    for p, arc, q, i in _arcs(k, bigon_slots):
         if i == 0 or _owns(bigon_slots[p], q, i):
-            yield _rotate(layout, k, p, arc_chords, q, i)
+            yield _rotate(layout, k, p, arc, q, i)

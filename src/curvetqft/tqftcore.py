@@ -140,7 +140,8 @@ def build_module(surface: MarkedSurface, bound: int = DEFAULT_BOUND) -> TqftModu
             for k in members:
                 if k.closed > 0:
                     continue
-                j = index.get(k.encode())
+                # A DividingSet is the tuple its encode() returns.
+                j = index.get(k)
                 if j is None:
                     raise ModuleBuildError(
                         "a bypass surgery left the enumerated generator set; "

@@ -972,7 +972,8 @@ def _checked_arcs(sets):
     arcs = 0
     for surface, k in sets:
         layout = sf.validate_dividing_set(surface, k)
-        got = [(p, arc_chords, tuple(q), i) for p, arc_chords, q, i in sf._arcs(k)]
+        got = [(p, tuple(k.chords[p][j] for j in arc), tuple(q), i)
+               for p, arc, q, i in sf._arcs(k)]
         assert got == list(_reference_arcs(layout, k))
         arcs += len(got)
     return arcs
@@ -999,7 +1000,8 @@ def _checked_owned(sets):
         for p, arc_chords, q, i in _reference_arcs(layout, k):
             bigons = layout.bigon_slots[p]
             if i == 0 or bigons and sf._owns(bigons, q, i):
-                expected.append(sf._rotate(layout, k, p, arc_chords, q, i))
+                arc = tuple(map(k.chords[p].index, arc_chords))
+                expected.append(sf._rotate(layout, k, p, arc, q, i))
         assert list(sf.owned_bypass_surgeries(surface, k)) == expected
         owned += len(expected)
     return owned
