@@ -285,7 +285,7 @@ def _surface_components(surface: MarkedSurface) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
-# The tokens that need no pair; an entry must also have the type shown.
+# Tokens that need no pair; their entries must be of these types too.
 _BOUNDARY_TOKENS = frozenset({(MARK,), (PLAIN, POS), (PLAIN, NEG)})
 
 
@@ -321,7 +321,7 @@ def validate_surface(surface: MarkedSurface) -> SurfaceInfo:
             for pos in (pos_a, pos_b):
                 p, i = pos
                 if type(p) is not int or type(i) is not int:
-                    raise TypeError  # a bool or an int-valued float would find a token
+                    raise TypeError  # a bool would index a token as 0 or 1
                 if not (0 <= p < len(lengths) and 0 <= i < lengths[p]):
                     errors.append(f"pair {k} references missing token {pos}")
                     continue
@@ -980,11 +980,10 @@ def _rotate(
 ) -> tuple:
     """Canonical (front, back) of the bypass on three chords of one piece.
 
-    arc holds the chords' indices in the piece, and q and i are their
-    rotation (see _arcs).  front and back hold the next two rotations of
-    the six endpoints.  Every other chord of the piece has both ends
-    between two consecutive endpoints, so it stays, as do the other
-    pieces and the closed components.
+    arc, q and i are the chords' indices and rotation (see _arcs).  front
+    and back hold the next two rotations of the six endpoints.  Every
+    other chord of the piece has both ends between two consecutive
+    endpoints, so it stays, as do the other pieces and closed components.
 
     Every such surgery is realizable.  front and back keep k's crossings,
     so its slot layout and coloring.  The slots between two neighbouring
@@ -998,9 +997,8 @@ def _rotate(
     crossings, chords, closed = k
     own = chords[piece]
     before, after = chords[:piece], chords[piece + 1:]
-    # The arc's indices ascend, but for a start to the right (i = 2).
     s, c, e = arc
-    a, b, d = (c, e, s) if i == 2 else arc
+    a, b, d = (c, e, s) if i == 2 else arc  # ascending
     rest = own[:a] + own[a + 1:b] + own[b + 1:d] + own[d + 1:]
     bigons = layout.bigon_slots[piece]
     out = []
@@ -1034,22 +1032,20 @@ def bypass_triple(
             and 0 <= arc.piece < surface.num_pieces):
         raise BypassError(f"piece {arc.piece} is not a piece of the surface")
     chords = k.chords[arc.piece]
-    position = {chord: j for j, chord in enumerate(chords)}
-    arc_indices = []
-    for chord in (arc.start_chord, arc.cross_chord, arc.end_chord):
+    arc_chords = arc.start_chord, arc.cross_chord, arc.end_chord
+    for chord in arc_chords:
         try:
             # index() rejects an int-valued float, which would find the int chord.
-            known = chord in position and tuple(map(operator.index, chord)) == chord
-        except TypeError:  # an unhashable chord, or an end that is not an int
+            known = chord in chords and tuple(map(operator.index, chord)) == chord
+        except TypeError:  # an end that is not an int
             known = False
         if not known:
             raise BypassError(f"chord {chord} is not part of the dividing set")
-        arc_indices.append(position[chord])
     # The inner arc (s, c, e) is the outer arc (e, c, s).
     if arc.start_side == "inner":
-        end, cross, start = arc_indices
+        end, cross, start = map(chords.index, arc_chords)
     elif arc.start_side == "outer":
-        start, cross, end = arc_indices
+        start, cross, end = map(chords.index, arc_chords)
     else:
         raise BypassError("start_side must be 'inner' or 'outer'")
     # parent[cross] and its children bound the outer face, cross and its
@@ -1061,16 +1057,11 @@ def bypass_triple(
     if cross in (start, end):
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
     _colored(layout.signs)
-    # q and i as _arcs reads them.
-    (s0, s1), (c0, c1), (e0, e1) = chords[start], chords[cross], chords[end]
-    if start == up:
-        q, i = (s0, c0, e0, e1, c1, s1), 0
-    elif start < cross:
-        q, i = (s0, s1, c0, e0, e1, c1), 1
-    else:
-        q, i = (c0, e0, e1, c1, s0, s1), 2
+    # A nontrivial outer arc, so the walk meets it.
+    piece_arc = arc.piece, (start, cross, end)
+    q, i = next((q, i) for p, found, q, i in _arcs(k) if (p, found) == piece_arc)
     bigon_free = _find_bigon(layout, k) is None
-    return _rotate(layout, k, arc.piece, (start, cross, end), q, i, bigon_free)
+    return _rotate(layout, k, *piece_arc, q, i, bigon_free)
 
 
 def _owns(bigons: frozenset[int], q, i: int) -> bool:
@@ -1093,15 +1084,14 @@ def _owns(bigons: frozenset[int], q, i: int) -> bool:
 def _arcs(k: DividingSet, bigon_slots=None):
     """Each nontrivial outer arc on k once, as (piece, (s, c, e), q, i).
 
-    s, c and e index the start, cross and end chords in the piece's
-    chords: e is a child of c (directly inside it), s its parent (i = 0)
-    or a sibling to the left (i = 1) or right (i = 2).  So q, the six
-    endpoints in ascending order, and i, the rotation of _ROTATIONS they
-    hold, follow from the nesting (_nest) with no sort, and so does the
-    order of the indices: s < c < e, but c < e < s for i = 2.  Parent
-    first, then siblings, ends in chord order.  k is valid.  Given the
-    layout's bigon_slots, a piece with none yields its parent arcs only:
-    there no sibling arc owns its triple (see _owns).
+    s, c, e index the start, cross and end chords: e is a child of c,
+    s its parent (i = 0) or a sibling to the left (i = 1) or right
+    (i = 2), so s < c < e, or c < e < s for i = 2.  q, the six endpoints
+    in ascending order, and i, the rotation of _ROTATIONS they hold,
+    follow from the nesting (_nest) with no sort.  Parent first, then
+    siblings, ends in chord order.  k is valid.  Given the layout's
+    bigon_slots, a piece with none yields its parent arcs only: there no
+    sibling arc owns its triple (see _owns).
     """
     for p, chords in enumerate(k.chords):
         siblings = bigon_slots is None or bigon_slots[p]
