@@ -916,6 +916,53 @@ def test_bypass_outputs_digest():
     assert digest.hexdigest() == BYPASS_DIGEST
 
 
+NONCANONICAL_BYPASS_SETS_PER_SURFACE = 60
+
+# sha256 of the ordered records of _noncanonical_bypass_records, recorded
+# while bypass_triple still decided adjacency from _nest.
+NONCANONICAL_BYPASS_DIGEST = "1f798a479516c04376e35b8d14b51c4ca6f658056a12309e64f933627951f74c"
+
+
+def _noncanonical_bypass_records():
+    """Bypass records of seeded colorable sets that hold a bigon.
+
+    Every arc of _arcs_from_side from both sides, trivial ones included,
+    and one random triple of distinct chords per piece, which is mostly
+    not adjacent, through bypass_triple with errors by message; then
+    every surgery of iter_bypass_surgeries.  Every member of these sets'
+    triples is reduced, a path the generators of BYPASS_DIGEST never take.
+    """
+    rng, pick = random.Random(30), random.Random(31)
+    for surface in REGION_SURFACES:
+        for k in _random_sets(surface, rng, NONCANONICAL_BYPASS_SETS_PER_SURFACE):
+            if not sf.is_colorable(surface, k) or sf.canonicalize(surface, k) is k:
+                continue
+            arcs = [arc for side in ("inner", "outer") for arc in _arcs_from_side(surface, k, side)]
+            arcs += [sf.BypassArc(p, *pick.sample(chords, 3), pick.choice(("inner", "outer")))
+                     for p, chords in enumerate(k.chords) if len(chords) >= 3]
+            for arc in arcs:
+                try:
+                    front, back = sf.bypass_triple(surface, k, arc)
+                    result = (front.encode(), back.encode())
+                except sf.BypassError as exc:
+                    result = ("error", str(exc))
+                yield k.encode(), tuple(arc), result
+            for arc, front, back in sf.iter_bypass_surgeries(surface, k):
+                yield k.encode(), tuple(arc), front.encode(), back.encode()
+
+
+def test_noncanonical_bypass_outputs_digest():
+    # Locks bypass_triple and iter_bypass_surgeries on sets with a bigon,
+    # whose members are all reduced, as BYPASS_DIGEST does on generators.
+    digest = hashlib.sha256()
+    records = 0
+    for record in _noncanonical_bypass_records():
+        digest.update(repr(record).encode())
+        records += 1
+    assert records > 0
+    assert digest.hexdigest() == NONCANONICAL_BYPASS_DIGEST
+
+
 def _reference_arcs(layout, k):
     """The bypass arc walk as it was before it read rotations from chord nesting.
 
