@@ -607,10 +607,16 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
         _check_length(surface, crossings)
         if len(chords_per_piece) != surface.num_pieces:
             raise DividingSetError("chord data does not cover every piece")
-        if operator.index(closed) < 0:
+        # type() refuses a bool or an int-valued float, though they equal ints.
+        if type(closed) is not int:
+            raise TypeError
+        if closed < 0:
             raise DividingSetError("negative closed-component count")
-        if any(operator.index(c) < 0 for c in crossings):
-            raise DividingSetError("negative crossing count")
+        for c in crossings:
+            if type(c) is not int:
+                raise TypeError
+            if c < 0:
+                raise DividingSetError("negative crossing count")
         counts = [word.count((MARK,)) for word in surface.words]
         for ((pa, _), (pb, _)), r in zip(surface.pairs, crossings):
             counts[pa] += r
@@ -625,9 +631,10 @@ def validate_dividing_set(surface: MarkedSurface, k: DividingSet) -> SlotLayout:
                     slot += 1
                 if a != slot or not a < b < (ends[-1] if ends else count):
                     break
-                # index() rejects an int-valued float, which compares equal.
-                ends.append(operator.index(b))
-                slot = operator.index(a) + 1
+                if type(a) is not int or type(b) is not int:
+                    raise TypeError
+                ends.append(b)
+                slot = a + 1
             else:
                 # The open ends are distinct and lie in [slot, count), so
                 # they close the remaining slots exactly when there are
@@ -975,10 +982,8 @@ def _holds_bigon(bigons: frozenset[int], q, j: int) -> bool:
     return False
 
 
-def _rotate(
-    layout: SlotLayout, k: DividingSet, piece: int, arc, q, i, bigon_free=True
-) -> tuple:
-    """Canonical (front, back) of the bypass on three chords of one piece.
+def _rotate(layout: SlotLayout, k: DividingSet, piece: int, arc, q, i) -> tuple:
+    """(front, back) of the bypass on three chords of one piece.
 
     arc, q and i are the chords' indices and rotation (see _arcs).  front
     and back hold the next two rotations of the six endpoints.  Every
@@ -990,9 +995,9 @@ def _rotate(
     endpoints are matched among themselves, so the six endpoints alternate
     in parity and each rotation has as many chords with an odd low end:
     the grading is k's.  Reducing their bigons (_reduce) is an isotopy,
-    unless it closes a strand into a contractible circle.  When k is
-    bigon_free, a member can hold a bigon only in its rotated chords, so
-    only a member with a rotated bigon is reduced.
+    unless it closes a strand into a contractible circle.  A member whose
+    rotated chords hold a bigon is reduced; any other member is returned
+    as it is, so both are canonical when k is bigon-free.
     """
     crossings, chords, closed = k
     own = chords[piece]
@@ -1008,7 +1013,7 @@ def _rotate(
         (x0, y0), (x1, y1), (x2, y2) = _ROTATIONS[j]
         rotated = tuple(sorted(rest + ((q[x0], q[y0]), (q[x1], q[y1]), (q[x2], q[y2]))))
         member = DividingSet(crossings, before + (rotated,) + after, closed)
-        if not bigon_free or bigons and _holds_bigon(bigons, q, j):
+        if bigons and _holds_bigon(bigons, q, j):
             member = _reduce(layout, member)
         out.append(member)
     return out[0], out[1]
@@ -1022,10 +1027,10 @@ def bypass_triple(
     Results are canonicalized.  Outside a neighborhood of the arc all
     three configurations agree; inside, the three chords the arc meets
     are replaced by the next two rotations of their six endpoints.  The
-    chords must belong to k, and the start and end chords must meet the
-    faces on either side of the cross chord.  A trivial arc is rejected:
-    its triple holds k twice and a set with a contractible circle, so
-    its relation is zero.
+    chords must belong to k.  A trivial arc is rejected: its triple holds
+    k twice and a set with a contractible circle, so its relation is
+    zero.  Any other arc is valid exactly when _arcs walks it: the start
+    and end chords meet the faces on either side of the cross chord.
     """
     layout = validate_dividing_set(surface, k)
     if not (isinstance(arc.piece, int) and not isinstance(arc.piece, bool)
@@ -1034,12 +1039,8 @@ def bypass_triple(
     chords = k.chords[arc.piece]
     arc_chords = arc.start_chord, arc.cross_chord, arc.end_chord
     for chord in arc_chords:
-        try:
-            # index() rejects an int-valued float, which would find the int chord.
-            known = chord in chords and tuple(map(operator.index, chord)) == chord
-        except TypeError:  # an end that is not an int
-            known = False
-        if not known:
+        # An int-valued float or a bool would find the int chord by equality.
+        if not (chord in chords and all(type(x) is int for x in chord)):
             raise BypassError(f"chord {chord} is not part of the dividing set")
     # The inner arc (s, c, e) is the outer arc (e, c, s).
     if arc.start_side == "inner":
@@ -1048,20 +1049,15 @@ def bypass_triple(
         start, cross, end = map(chords.index, arc_chords)
     else:
         raise BypassError("start_side must be 'inner' or 'outer'")
-    # parent[cross] and its children bound the outer face, cross and its
-    # children the inner one.
-    parent, _ = _nest(chords)
-    up = parent[cross]
-    if not (start == up or parent[start] == up) or not (end == cross or parent[end] == cross):
-        raise BypassError("chord is not adjacent to the required face")
     if cross in (start, end):
         raise BypassError("trivial arc: it starts or ends on the chord it crosses")
-    _colored(layout.signs)
-    # A nontrivial outer arc, so the walk meets it.
     piece_arc = arc.piece, (start, cross, end)
-    q, i = next((q, i) for p, found, q, i in _arcs(k) if (p, found) == piece_arc)
-    bigon_free = _find_bigon(layout, k) is None
-    return _rotate(layout, k, *piece_arc, q, i, bigon_free)
+    walked = {(p, found): (q, i) for p, found, q, i in _arcs(k)}
+    if piece_arc not in walked:
+        raise BypassError("chord is not adjacent to the required face")
+    _colored(layout.signs)
+    return tuple(_reduce(surface.layout(m.crossings), m)
+                 for m in _rotate(layout, k, *piece_arc, *walked[piece_arc]))
 
 
 def _owns(bigons: frozenset[int], q, i: int) -> bool:
@@ -1126,14 +1122,14 @@ def iter_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     distinct chords, the cross chord separating the other two.  Only arcs
     starting on the outer side of the cross chord are tried: the inner
     arc (s, c, e) is the outer arc (e, c, s) reversed and gives the same
-    pair.  Every such surgery is realizable (see _rotate).
+    pair.  Every such surgery is realizable (see _rotate).  Each member
+    is then reduced on its own layout, for a bigon of k that it kept.
     """
     layout = validate_dividing_set(surface, k)
     _colored(layout.signs)
-    bigon_free = _find_bigon(layout, k) is None
     return (
         (BypassArc(p, *(k.chords[p][j] for j in arc)),
-         *_rotate(layout, k, p, arc, q, i, bigon_free))
+         *(_reduce(surface.layout(m.crossings), m) for m in _rotate(layout, k, p, arc, q, i)))
         for p, arc, q, i in _arcs(k)
     )
 
@@ -1146,8 +1142,8 @@ def owned_bypass_surgeries(surface: MarkedSurface, k: DividingSet):
     relation row from its owner alone.  On a surface with seams the owner
     can meet a row again along another arc, when both other members
     reduce to the same sets, so a row can come more than once.  k must be
-    a generator, so it is not validated, and it is bigon-free, so _rotate
-    reduces only members whose rotated chords hold a bigon.
+    a generator, so it is not validated, and it is bigon-free, so the
+    members _rotate gives are canonical.
     """
     layout = surface.layout(k.crossings)
     bigon_slots = layout.bigon_slots

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from curvetqft import fileio
 from curvetqft import gluemaps as gm
 from curvetqft import surfaces as sf
 from curvetqft import tqftcore as tc
+from test_digests import REGION_SURFACES, _random_sets
 
 
 @pytest.mark.parametrize(
@@ -32,6 +36,39 @@ def test_dividing_set_round_trip():
     surface2, k2 = fileio.dividing_set_from_dict(data)
     assert surface2 == surface
     assert k2 == k
+
+
+def _bool_variants(k):
+    """k with its closed count, its crossing counts or its chord ends of 0 and 1 as bools."""
+    def as_bool(x):
+        return bool(x) if x in (0, 1) else x
+
+    yield k._replace(closed=as_bool(k.closed))
+    yield k._replace(crossings=tuple(map(as_bool, k.crossings)))
+    yield k._replace(chords=tuple(
+        tuple((as_bool(a), as_bool(b)) for a, b in piece) for piece in k.chords
+    ))
+
+
+def test_accepted_dividing_sets_round_trip():
+    # Every set validation accepts, colorable or not, is written and read
+    # back as it is.  A bool count or chord end equals its int, so it was
+    # accepted, and then written as a JSON bool that the reader refuses.
+    rng = random.Random(8)
+    accepted = refused = 0
+    for surface in REGION_SURFACES:
+        for k in _random_sets(surface, rng, 30):
+            for s in (k, *_bool_variants(k)):
+                try:
+                    sf.validate_dividing_set(surface, s)
+                except sf.DividingSetError:
+                    refused += 1
+                    continue
+                accepted += 1
+                data = json.loads(json.dumps(fileio.dividing_set_to_dict(surface, s)))
+                surface2, k2 = fileio.dividing_set_from_dict(data)
+                assert (surface2, repr(k2)) == (surface, repr(s))
+    assert accepted and refused
 
 
 def test_bare_int_slots_mean_piece_zero():

@@ -594,6 +594,10 @@ MALFORMED_ANNULUS_SETS = [
     (sf.DividingSet((0,), (((0, 1), (0, 1)),), 0), "piece 0: chords are not a non-crossing"),
     # Rejected by its slot count, before 2 * 10**5 crossing slots are laid out.
     (sf.DividingSet((10**5,), (((0, 1),),), 0), "piece 0: chords are not"),
+    # A bool equals 0 or 1 and was accepted; the file format refuses it.
+    (sf.DividingSet((0,), (((0, 1), (2, 3)),), True), "the closed count must be ints"),
+    (sf.DividingSet((False,), (((0, 1), (2, 3)),), 0), "the closed count must be ints"),
+    (sf.DividingSet((0,), (((False, True), (2, 3)),), 0), "the closed count must be ints"),
 ]
 
 
@@ -1101,10 +1105,10 @@ def test_bypass_arc_piece_must_exist():
     assert sf.bypass_triple(union, ku, sf.BypassArc(1, (0, 1), (2, 5), (3, 4)))
 
 
-@pytest.mark.parametrize("chord", [(0.0, 1.0), (0, 1.0), [0, 1], None])
+@pytest.mark.parametrize("chord", [(0.0, 1.0), (0, 1.0), [0, 1], None, (False, True)])
 def test_bypass_arc_chords_must_be_int_pairs(chord):
-    # An int-valued float finds the chord (0, 1) by equality; the triple
-    # would then carry float endpoints that validation rejects.
+    # An int-valued float or a bool finds the chord (0, 1) by equality;
+    # the triple would then carry endpoints that are no ints.
     surface = sf.disk(6)
     k = sf.make_dividing_set((), [[(0, 1), (2, 5), (3, 4)]])
     with pytest.raises(sf.BypassError, match="is not part of the dividing set"):
