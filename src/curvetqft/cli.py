@@ -25,8 +25,7 @@ from .surfaces import (
     SurfaceError,
     annulus,
     disk,
-    enumerate_matchings,
-    euler_grading,
+    graded_dividing_sets,
     punctured_torus,
 )
 from .tqftcore import (
@@ -126,13 +125,11 @@ def _add_surface_flags(parser):
 def cmd_matchings(args) -> int:
     if not (1 <= args.n <= MAX_MATCHINGS_N):
         raise UsageError(f"--n must be between 1 and {MAX_MATCHINGS_N}")
-    surface = disk(2 * args.n)
-    matchings = enumerate_matchings(args.n)
-    for k in matchings:
+    gradings, matchings = graded_dividing_sets(disk(2 * args.n), 0)
+    for e, k in zip(gradings, matchings):
         if args.format == "machine":
             print(" ".join(f"{a}-{b}" for a, b in k.chords[0]))
         else:
-            e = euler_grading(surface, k)
             print(render_matching(k.chords[0], 2 * args.n))
             print(f"grading {e:+d}")
             print()

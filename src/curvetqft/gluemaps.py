@@ -26,6 +26,8 @@ from .surfaces import (
     DividingSet,
     MarkedSurface,
     _trace_boundary,
+    disjoint_union,
+    disk,
     layout_of,
     make_dividing_set,
 )
@@ -330,8 +332,6 @@ def attach_arc_datum(n: int, position: int) -> GluingDatum:
     This realizes the maps that attach a boundary-parallel arc across two
     adjacent marked points.  position is 0-based and wraps modulo 2n.
     """
-    from .surfaces import disjoint_union, disk
-
     if n < 2:
         raise GluingError("need at least 4 marked points on the big disk")
     big = disk(2 * n)
