@@ -941,7 +941,8 @@ def _noncanonical_bypass_records():
         for k in _random_sets(surface, rng, NONCANONICAL_BYPASS_SETS_PER_SURFACE):
             if not sf.is_colorable(surface, k) or sf.canonicalize(surface, k) is k:
                 continue
-            arcs = [arc for side in ("inner", "outer") for arc in _arcs_from_side(surface, k, side)]
+            arcs = [arc for side in ("inner", "outer")
+                    for arc in _arcs_from_side(surface, k, side)]
             arcs += [sf.BypassArc(p, *pick.sample(chords, 3), pick.choice(("inner", "outer")))
                      for p, chords in enumerate(k.chords) if len(chords) >= 3]
             for arc in arcs:
