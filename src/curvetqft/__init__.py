@@ -49,6 +49,7 @@ from .gluemaps import (
     cut_surface,
     cut_check,
     attach_arc_map,
+    datum_map,
 )
 from .liftsearch import (
     LiftProblem,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import fileio, verify
-from .gluemaps import GluingError, attach_arc_datum, glue_map, glue_surfaces
+from .gluemaps import GluingError, attach_arc_datum, datum_map
 from .liftsearch import (
     LiftError,
     replay_certificate,
@@ -22,7 +22,9 @@ from .liftsearch import (
 )
 from .surfaces import (
     DividingSetError,
+    MarkedSurface,
     SurfaceError,
+    _nest,
     annulus,
     disk,
     graded_dividing_sets,
@@ -59,17 +61,17 @@ INPUT_ERRORS = (
 
 
 def render_matching(chords, num_slots: int) -> str:
-    """ASCII chord diagram: endpoints on a line, arcs above."""
-    heights = {}
-    for chord in sorted(chords, key=lambda c: c[1] - c[0]):
-        a, b = chord
-        inner = [heights[c] for c in heights if a < c[0] and c[1] < b]
-        heights[chord] = 1 + max(inner, default=0)
+    """ASCII chord diagram of a piece's chords: endpoints on a line, arcs above."""
+    # One level above the tallest chord inside; children follow their parent.
+    _, children = _nest(chords)
+    heights = [0] * len(chords)
+    for j in reversed(range(len(chords))):
+        heights[j] = 1 + max((heights[c] for c in children[j]), default=0)
     width = 2 * num_slots - 1
     rows = []
-    for level in range(max(heights.values(), default=0), 0, -1):
+    for level in range(max(heights, default=0), 0, -1):
         row = [" "] * width
-        for (a, b), h in heights.items():
+        for (a, b), h in zip(chords, heights):
             if h == level:
                 row[2 * a] = "/"
                 row[2 * b] = "\\"
@@ -91,7 +93,7 @@ def _bits(coords: int, rank: int) -> str:
     return format(coords, f"0{max(rank, 1)}b")[::-1]
 
 
-def _surface_from_args(args) -> "MarkedSurface":
+def _surface_from_args(args) -> MarkedSurface:
     chosen = [
         args.disk is not None,
         args.annulus is not None,
@@ -181,19 +183,11 @@ def cmd_class(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    if args.attach is not None:
-        n, position = args.attach
-        datum = attach_arc_datum(n, position)
-    else:
-        if not args.datum:
-            raise GluingError("provide --datum FILE or --attach N J")
-        datum = fileio.gluing_datum_from_dict(fileio.load_json(args.datum))
-    info = glue_surfaces(datum)
-    m_src = build_module(datum.source, args.bound)
-    m_tgt = build_module(
-        info.target, max(args.bound, info.seam_marks)
-    )
-    result = glue_map(info, m_src, m_tgt)
+    if (args.datum is None) == (args.attach is None):
+        raise GluingError("choose exactly one of --datum FILE, --attach N J")
+    datum = (attach_arc_datum(*args.attach) if args.datum is None
+             else fileio.gluing_datum_from_dict(fileio.load_json(args.datum)))
+    result, m_src, m_tgt = datum_map(build_module, datum, args.bound)
     if args.format == "machine":
         payload = {
             "source_rank": m_src.rank,

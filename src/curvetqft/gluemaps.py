@@ -74,7 +74,8 @@ def _is_position(x, n: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
-def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[int]:
+def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[tuple[int, int]]:
+    """Positions (piece, token) strictly inside the arc, in boundary order."""
     if not _is_position(arc.piece, surface.num_pieces):
         raise GluingError(f"arc names piece {arc.piece}, which does not exist")
     word = surface.words[arc.piece]
@@ -82,17 +83,10 @@ def _arc_interior(surface: MarkedSurface, arc: BoundaryArc) -> list[int]:
     for t in (arc.start, arc.end):
         if not _is_position(t, n) or word[t][0] != PLAIN:
             raise GluingError("arc endpoints must lie inside plain segments")
-    if arc.start == arc.end:
-        interior = [(arc.start + 1 + j) % n for j in range(n - 1)]
-    else:
-        interior = []
-        i = (arc.start + 1) % n
-        while i != arc.end:
-            interior.append(i)
-            i = (i + 1) % n
-    for i in interior:
-        if word[i][0] == IDENT:
-            raise GluingError("arc crosses an identification segment")
+    count = (arc.end - arc.start - 1) % n if arc.start != arc.end else n - 1
+    interior = [(arc.piece, (arc.start + 1 + j) % n) for j in range(count)]
+    if any(word[i][0] == IDENT for _, i in interior):
+        raise GluingError("arc crosses an identification segment")
     return interior
 
 
@@ -121,40 +115,38 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
     The arcs are matched by an orientation-reversing correspondence, so
     mark i of gamma is identified with mark q-1-i of gamma_prime.
     """
-    surface, g, gp = datum
-    int_g = _arc_interior(surface, g)
-    int_gp = _arc_interior(surface, gp)
-    span_g = {(g.piece, i) for i in int_g} | {(g.piece, g.start), (g.piece, g.end)}
-    span_gp = {(gp.piece, i) for i in int_gp} | {(gp.piece, gp.start), (gp.piece, gp.end)}
-    if span_g & span_gp:
+    surface, *arcs = datum
+    interiors = [_arc_interior(surface, arc) for arc in arcs]
+    spans = [{(arc.piece, arc.start), (arc.piece, arc.end), *inner}
+             for arc, inner in zip(arcs, interiors)]
+    if spans[0] & spans[1]:
         raise GluingError("the two arcs overlap")
-    marks_g = [i for i in int_g if surface.words[g.piece][i][0] == MARK]
-    marks_gp = [i for i in int_gp if surface.words[gp.piece][i][0] == MARK]
-    if len(marks_g) != len(marks_gp):
+    marks = [[pos for pos in inner if surface.token(*pos)[0] == MARK] for inner in interiors]
+    if len(marks[0]) != len(marks[1]):
         raise GluingError(
-            f"arcs carry {len(marks_g)} and {len(marks_gp)} marked points; "
+            f"arcs carry {len(marks[0])} and {len(marks[1])} marked points; "
             "they must match"
         )
     seam_pair = surface.num_pairs
-    starts = {(g.piece, g.start), (gp.piece, gp.start)}
-    interior = {(g.piece, i) for i in int_g} | {(gp.piece, i) for i in int_gp}
+    starts = {(arc.piece, arc.start) for arc in arcs}
+    dropped = {*interiors[0], *interiors[1]}
 
     def replace(pos, tok):
         if pos in starts:
             return [tok, (IDENT, seam_pair)]
-        return [] if pos in interior else [tok]
+        return [] if pos in dropped else [tok]
 
     words, token_map = _rewrite(surface, replace)
-    seam = tuple((arc.piece, token_map[(arc.piece, arc.start)][1] + 1) for arc in (g, gp))
+    seam = tuple((arc.piece, token_map[(arc.piece, arc.start)][1] + 1) for arc in arcs)
     pairs = tuple(
         (token_map[pos_a], token_map[pos_b]) for pos_a, pos_b in surface.pairs
     ) + (seam,)
     target = MarkedSurface(words, pairs)
 
     seam_slots = {
-        ("m", arc.piece, i): ("x", seam_pair, side, j)
-        for side, (arc, marks) in enumerate(((g, marks_g), (gp, marks_gp)))
-        for j, i in enumerate(marks)
+        ("m", *pos): ("x", seam_pair, side, j)
+        for side, arc_marks in enumerate(marks)
+        for j, pos in enumerate(arc_marks)
     }
     mark_map: dict = {}
     for p, word in enumerate(surface.words):
@@ -162,7 +154,7 @@ def glue_surfaces(datum: GluingDatum) -> GlueInfo:
             if tok[0] == MARK:
                 key = ("m", p, i)
                 mark_map[key] = seam_slots.get(key) or ("m", *token_map[(p, i)])
-    return GlueInfo(surface, target, seam_pair, len(marks_g), mark_map, token_map)
+    return GlueInfo(surface, target, seam_pair, len(marks[0]), mark_map, token_map)
 
 
 def map_dividing_set(info: GlueInfo, k: DividingSet) -> DividingSet:
@@ -221,6 +213,18 @@ def glue_map(info: GlueInfo, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult
     return GlueResult(tuple(images), basis_columns)
 
 
+def datum_map(build, datum: GluingDatum, bound: int):
+    """(glue result, source module, target module) for one gluing datum.
+
+    The source is built at bound, the target at max(bound, marks on the
+    seam): the least bound that holds every generator's glued image.
+    """
+    info = glue_surfaces(datum)
+    m_src = build(info.source, bound)
+    m_tgt = build(info.target, max(bound, info.seam_marks))
+    return glue_map(info, m_src, m_tgt), m_src, m_tgt
+
+
 # ---------------------------------------------------------------------------
 # Cutting
 # ---------------------------------------------------------------------------
@@ -228,9 +232,8 @@ def glue_map(info: GlueInfo, m_src: TqftModule, m_tgt: TqftModule) -> GlueResult
 def _infer_labels(words, pairs):
     """Fill unknown plain labels (stored as 0) from boundary alternation."""
     resolved = {}
-    for n_marks, plains in _trace_boundary(words, pairs):
-        if not n_marks:
-            raise GluingError("a boundary circle has no marked points after cutting")
+    circles = _trace_boundary(words, pairs)
+    for _, plains in circles:
         bases = {
             words[p][i][1] * (-1) ** sector
             for (p, i), sector in plains
@@ -246,6 +249,11 @@ def _infer_labels(words, pairs):
         (base,) = bases
         for pos, sector in plains:
             resolved[pos] = base * (-1) ** sector
+    if any(n_marks % 2 for n_marks, _ in circles):
+        raise GluingError(
+            "cutting leaves a boundary circle with an odd number of marked "
+            "points; no single-crossing cut exists here"
+        )
     return tuple(
         tuple(
             (PLAIN, resolved[(p, i)]) if t == (PLAIN, 0) else t
@@ -313,11 +321,7 @@ class CutReport(NamedTuple):
 def cut_check(build, surface: MarkedSurface, pair_id: int, bound: int) -> CutReport:
     """Verify the cutting isomorphism along one pair, with modules from build."""
     m = build(surface, bound)
-    info = cut_surface(surface, pair_id)
-    m_cut = build(info.cut_surface, bound)
-    glue_info = glue_surfaces(info.reglue)
-    m_reglued = build(glue_info.target, max(bound, 1))
-    result = glue_map(glue_info, m_cut, m_reglued)
+    result, m_cut, m_reglued = datum_map(build, cut_surface(surface, pair_id).reglue, bound)
     injective = gf2.rank(list(result.basis_columns)) == m_cut.rank
     return CutReport(m.rank, m_cut.rank, m_reglued.rank, injective)
 
@@ -349,12 +353,8 @@ def attach_arc_datum(n: int, position: int) -> GluingDatum:
 
 
 def attach_arc_map(build, n: int, position: int):
-    """(glue result, source module at bound 0, target at bound 2) for one attachment."""
-    datum = attach_arc_datum(n, position)
-    info = glue_surfaces(datum)
-    m_src = build(datum.source, 0)
-    m_tgt = build(info.target, 2)
-    return glue_map(info, m_src, m_tgt), m_src, m_tgt
+    """datum_map of one attachment from bound 0; its seam holds 2 marks."""
+    return datum_map(build, attach_arc_datum(n, position), 0)
 
 
 # The three matchings of disk(6) of grading 0, in the order of the

@@ -41,8 +41,8 @@ class LiftProblem(_ProblemFields):
     The unknowns are primitive vectors a, b, d in the rank-2 lattice with
     a normalized to (1, 0) and the first functional's kernel to
     span{(0, 1)}.  allow_signs relaxes "maps to the generator" to "maps
-    to plus or minus the generator".  Construction checks the pattern and
-    the box; _make and _replace skip the check.
+    to plus or minus the generator".  Construction checks the pattern,
+    that allow_signs is a bool, and the box; _make and _replace skip it.
     """
 
     __slots__ = ()
@@ -67,6 +67,9 @@ class LiftProblem(_ProblemFields):
                 "the normalization writes a as (1, 0) with functional 1 "
                 "sending it to the generator; pattern[0][0] must be 1"
             )
+        # A truthy non-bool would allow signs, and its certificate would not read back.
+        if type(self.allow_signs) is not bool:
+            raise LiftError(f"allow_signs must be a bool, got {self.allow_signs!r}")
         if not isinstance(self.search_box, int) or self.search_box < 2:
             raise LiftError(f"search box must be an int of at least 2, got {self.search_box!r}")
         return super().__new__(cls, pattern, *self[1:])

@@ -66,8 +66,8 @@ def test_criterion_08_lift_infeasibility():
 
 
 def test_criterion_09_disk_oracle():
-    # The sub-disk relation construction agrees with the surgery build in
-    # rank and in every pairwise class identification for n <= 4.
+    # The sub-disk relation construction gives exactly the surgery build's
+    # set of relation rows for n = 2, 3, 4.
     _run(verify.check_disk_oracle, "criterion 9 disk-oracle")
 
 

@@ -99,6 +99,32 @@ def test_class_command(tmp_path, capsys):
     assert out.startswith("class 0")
 
 
+def test_class_machine_output(tmp_path, capsys):
+    # The k0prime file of the README: one circle around the annulus core.
+    surface = sf.annulus(2, 2)
+    k = sf.make_dividing_set((2,), [[(2, 3), (1, 4), (0, 7), (5, 6)]])
+    path = tmp_path / "k0prime.json"
+    fileio.dump_json(fileio.dividing_set_to_dict(surface, k), str(path))
+    code, out, _ = run_cli(capsys, "class", "--k", str(path), "--bound", "3",
+                           "--format", "machine")
+    assert code == 0
+    assert out == '{"coordinates": "0100", "grading": 0, "zero": false}\n'
+
+
+@pytest.mark.parametrize("with_datum,attach", [(True, ["--attach", "3", "0"]), (False, [])],
+                         ids=["both", "neither"])
+def test_glue_requires_exactly_one_datum(tmp_path, capsys, with_datum, attach):
+    from curvetqft import gluemaps
+
+    path = tmp_path / "datum.json"
+    fileio.dump_json(fileio.gluing_datum_to_dict(gluemaps.attach_arc_datum(3, 1)), str(path))
+    datum = ["--datum", str(path)] if with_datum else []
+    code, out, err = run_cli(capsys, "glue", *datum, *attach)
+    assert code == 2
+    assert out == ""
+    assert err == "error: choose exactly one of --datum FILE, --attach N J\n"
+
+
 def test_glue_attach_table(capsys):
     code, out, _ = run_cli(capsys, "glue", "--attach", "3", "0",
                            "--format", "machine")

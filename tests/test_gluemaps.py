@@ -263,3 +263,71 @@ def test_bound_guard_on_target():
     m_tgt = tc.build_module(info.target, 1)
     with pytest.raises(tc.BoundExceededError):
         gm.glue_map(info, m_src, m_tgt)
+
+
+def test_glue_map_refuses_modules_of_other_surfaces():
+    info = gm.glue_surfaces(gm.attach_arc_datum(3, 0))
+    m_src = tc.build_module(info.source, 0)
+    m_tgt = tc.build_module(info.target, 2)
+    with pytest.raises(gm.GluingError, match="source module was built on a different surface"):
+        gm.glue_map(info, m_tgt, m_tgt)
+    with pytest.raises(gm.GluingError, match="target module was built on a different surface"):
+        gm.glue_map(info, m_src, m_src)
+
+
+def test_attach_needs_a_big_disk():
+    with pytest.raises(gm.GluingError, match="at least 4 marked points"):
+        gm.attach_arc_datum(1, 0)
+
+
+@pytest.mark.parametrize("bound,target_bound", [(0, 2), (1, 2), (3, 3)])
+def test_datum_map_builds_the_target_to_hold_every_image(bound, target_bound):
+    # The seam of an attachment holds 2 marks, so every glued image needs
+    # a target bound of at least 2.
+    datum = gm.attach_arc_datum(3, 1)
+    built = []
+
+    def build(surface, b):
+        built.append((surface, b))
+        return tc.build_module(surface, b)
+
+    result, m_src, m_tgt = gm.datum_map(build, datum, bound)
+    target = gm.glue_surfaces(datum).target
+    assert built == [(datum.source, bound), (target, target_bound)]
+    assert (m_src.bound, m_tgt.bound) == (bound, target_bound)
+    assert len(result.images) == len(m_src.generators)
+
+
+def test_cut_check_builds_the_reglued_module_to_hold_every_image():
+    # A reglue arc holds 1 mark, so the reglued module is built at bound 1
+    # even when the cut is checked at bound 0.
+    built = []
+
+    def build(surface, b):
+        built.append((surface, b))
+        return tc.build_module(surface, b)
+
+    ann = sf.annulus(2, 2, (1, -1))
+    cut = gm.cut_surface(ann, 0)
+    report = gm.cut_check(build, ann, 0, 0)
+    assert (report.rank_cut, report.rank_reglued, report.map_injective) == (4, 4, True)
+    assert built == [(ann, 0), (cut.cut_surface, 0), (gm.glue_surfaces(cut.reglue).target, 1)]
+
+
+# A punctured torus of genus 1 in two pieces: piece 0 reads
+# i2 + i0 + m - m + i1 +, piece 1 reads i0 + i1 + i2 +.
+I, P, M, N = sf.ident, sf.plain(1), sf.mark(), sf.plain(-1)
+TWO_PIECE_TORUS = sf.MarkedSurface(
+    ((I(2), P, I(0), P, M, N, M, P, I(1), P), (I(0), P, I(1), P, I(2), P)),
+    (((0, 2), (1, 0)), ((0, 8), (1, 2)), ((0, 0), (1, 4))),
+)
+
+
+def test_cut_refuses_a_cut_that_leaves_an_odd_circle():
+    # Cutting pair 0 leaves circles of 3 and 1 marks; the cut itself says
+    # so, not the construction of the cut surface.
+    with pytest.raises(gm.GluingError, match="odd number of marked points"):
+        gm.cut_surface(TWO_PIECE_TORUS, 0)
+    for pair_id in (1, 2):
+        with pytest.raises(gm.GluingError, match="sectors of equal sign"):
+            gm.cut_surface(TWO_PIECE_TORUS, pair_id)

@@ -202,6 +202,14 @@ def test_problem_validation():
                     ((True, 1, 0), (0, 1, 1), (1, 0, 1))):
         with pytest.raises(ls.LiftError, match="three rows of three 0/1 entries"):
             ls.LiftProblem(pattern)
+    # A truthy non-bool allowed signs, and its certificate, which says
+    # "allow_signs": 1, replayed in-process but not from a file.
+    for allow_signs in (1, 0, "no", None):
+        with pytest.raises(ls.LiftError, match="allow_signs must be a bool"):
+            ls.LiftProblem(ls.STANDARD_PATTERN, allow_signs, 4)
+    certificate = ls.search_lift(ls.standard_problem(allow_signs=True)).certificate
+    with pytest.raises(ls.LiftError, match="allow_signs must be a bool"):
+        ls.replay_certificate({**certificate, "allow_signs": 1})
 
 
 def test_pattern_rows_given_as_lists_are_stored_as_tuples():

@@ -108,8 +108,9 @@ def test_disk_six_marks_validates():
 
 
 def test_odd_marks_rejected():
-    with pytest.raises(sf.SurfaceError):
-        sf.disk(3)
+    for preset in (lambda: sf.disk(3), lambda: sf.annulus(3, 2), lambda: sf.punctured_torus(3)):
+        with pytest.raises(sf.SurfaceError, match="even number >= 2 of mark"):
+            preset()
     word = (sf.mark(), sf.plain(1), sf.mark(), sf.plain(-1), sf.mark(), sf.plain(1))
     with pytest.raises(sf.SurfaceError, match="marked-point count"):
         sf.validate_surface(sf.MarkedSurface((word,), ()))
@@ -204,6 +205,18 @@ def test_words_that_are_not_words_rejected_at_construction(words):
         sf.MarkedSurface(words, ())
 
 
+def test_empty_boundary_rejected_at_construction():
+    with pytest.raises(sf.SurfaceError, match="piece 0 has an empty boundary word"):
+        sf.MarkedSurface(((),), ())
+    # A piece whose word is one glued pair of segments closes up without
+    # boundary, beside a disk or alone.
+    closed = (sf.ident(0), sf.ident(0))
+    for words in ((closed,), (closed, sf.disk(2).words[0])):
+        with pytest.raises(sf.SurfaceError,
+                           match=r"component with pieces \(0,\) has empty boundary"):
+            sf.MarkedSurface(words, (((0, 0), (0, 1)),))
+
+
 def test_annulus_euler_zero():
     info = sf.validate_surface(sf.annulus(2, 2))
     assert info.euler == 0
@@ -264,6 +277,8 @@ def _reference_pairings(num_slots, forbidden=frozenset()):
 def test_negative_counts_have_no_matchings():
     with pytest.raises(ValueError, match="n must be >= 0"):
         sf.catalan(-1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sf.enumerate_matchings(0)
     assert sf.catalan(0) == 1
     for num_slots in (-1, -2, -4):
         assert list(sf.noncrossing_pairings(num_slots)) == []

@@ -163,6 +163,15 @@ def test_bound_exceeded():
         tc.class_of(m, twisted)
 
 
+def test_generator_index_refuses_a_set_beyond_the_bound():
+    surface = sf.annulus(2, 2)
+    twisted = sf.make_dividing_set((2,), [[(0, 3), (1, 2), (4, 7), (5, 6)]])
+    m = tc.build_module(surface, 2)
+    assert m.generators[m.generator_index(twisted)] == twisted
+    with pytest.raises(tc.BoundExceededError, match="not among the generators at this bound"):
+        tc.build_module(surface, 1).generator_index(twisted)
+
+
 def test_class_of_rejects_unnormalized_chords():
     m = tc.build_module(sf.disk(4), 0)
     assert tc.class_of(m, sf.make_dividing_set((), [[(1, 0), (3, 2)]])).coords == 1

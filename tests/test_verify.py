@@ -1,9 +1,11 @@
-"""The verify suite's run-scoped module memo."""
+"""The verify suites: the run-scoped module memo and the check wrapper."""
 
 from __future__ import annotations
 
 from collections import Counter
 from types import SimpleNamespace
+
+import pytest
 
 from curvetqft import build_module, disk, verify
 from curvetqft import surfaces, tqftcore
@@ -63,3 +65,18 @@ def test_multiplicativity_compares_with_the_component_ranks():
     result = verify.check_multiplicativity(build)
     assert not result.passed
     assert "disk1|annulus rank 4 = 3*4" in result.detail
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
+
+
+def test_check_that_raises_fails_with_the_error():
+    def broken(build):
+        raise ZeroDivisionError("no rank")
+
+    result = verify._check("broken")(broken)(build_module)
+    assert result.name == "broken"
+    assert result.passed is False
+    assert result.detail == "raised ZeroDivisionError: no rank"
